@@ -191,10 +191,10 @@ where
 ///
 /// The forward link carries the shard's partitioned sub-stream origin → remote;
 /// the return link is multiplexed into `back_channels` logical channels
-/// remote → origin. Channel index semantics are fixed by the shard-group
-/// builders: channel 0 is the shard's result stream, channel 1 (GeneaLog groups
-/// only) the unfolded provenance stream, and the last channel the instance's
-/// live metrics snapshots.
+/// remote → origin. [`remote_shard_group`] asks for three, in the order every
+/// shard group (and the `spe-node` protocol) uses: the shard's result stream,
+/// its unfolded provenance stream (GeneaLog groups only ship on it) and the
+/// instance's live metrics snapshots.
 pub struct ShardWiring {
     /// Origin-side sender of the forward link.
     pub forward_tx: Box<dyn FrameSink>,
@@ -210,10 +210,10 @@ pub struct ShardWiring {
     pub back_stats: Arc<LinkStats>,
 }
 
-/// The transport seam of the distributed shard-group builders: everything above
-/// it — wire framing, sequence numbers, provenance stitching, metrics
-/// shipping — is transport-agnostic, so swapping [`SimulatedTransport`] for the
-/// TCP transport (or anything else that moves frames) changes no bytes.
+/// The transport seam of [`remote_shard_group`]: everything above it — wire
+/// framing, sequence numbers, provenance stitching, metrics shipping — is
+/// transport-agnostic, so swapping [`SimulatedTransport`] for the TCP transport
+/// (or anything else that moves frames) changes no bytes.
 pub trait ShardTransport {
     /// Builds the forward and return links of shard `shard`, the return link
     /// multiplexed into `back_channels` channels.
@@ -225,22 +225,38 @@ pub trait ShardTransport {
 }
 
 /// The in-process [`ShardTransport`]: a [`SimulatedLink`] per direction with the
-/// configured bandwidth/latency model, exactly what the shard-group builders
-/// wired before the transport seam existed.
-#[derive(Debug, Clone, Copy)]
+/// configured bandwidth/latency model.
 pub struct SimulatedTransport {
     network: NetworkConfig,
+    data_faults: Option<Box<dyn Fn(usize) -> LinkFaults>>,
 }
 
 impl SimulatedTransport {
-    /// A transport with the given link characteristics.
+    /// A transport with the given link characteristics and no injected faults.
     pub fn new(network: NetworkConfig) -> Self {
-        SimulatedTransport { network }
+        SimulatedTransport {
+            network,
+            data_faults: None,
+        }
+    }
+
+    /// Injects frame faults on the remote → origin data channel (channel 0) of
+    /// selected shards: `faults` is called once per shard index and the returned
+    /// [`LinkFaults`] decorate that channel with a [`FaultySender`]. A severed
+    /// channel surfaces at the origin's ingress as a mid-stream close, a dropped
+    /// frame as a sequence gap — both fail the originating query into the
+    /// recovery path. The faults sit above the mux, so frames on the other
+    /// channels pass untouched (compare
+    /// [`TcpLoopbackTransport::with_return_kill`](crate::tcp::TcpLoopbackTransport::with_return_kill),
+    /// which kills the socket underneath it).
+    pub fn with_data_faults(mut self, faults: impl Fn(usize) -> LinkFaults + 'static) -> Self {
+        self.data_faults = Some(Box::new(faults));
+        self
     }
 }
 
 impl ShardTransport for SimulatedTransport {
-    fn shard_links(&self, _shard: usize, back_channels: usize) -> Result<ShardWiring, SpeError> {
+    fn shard_links(&self, shard: usize, back_channels: usize) -> Result<ShardWiring, SpeError> {
         let (forward_tx, forward_rx, forward_stats) = SimulatedLink::new(self.network);
         let (back_txs, back_rxs, back_stats) = SharedLink::new(back_channels, self.network);
         Ok(ShardWiring {
@@ -249,7 +265,13 @@ impl ShardTransport for SimulatedTransport {
             forward_stats,
             back_txs: back_txs
                 .into_iter()
-                .map(|tx| Box::new(tx) as Box<dyn FrameSink>)
+                .enumerate()
+                .map(|(channel, tx)| match (channel, &self.data_faults) {
+                    (0, Some(faults)) => {
+                        Box::new(FaultySender::new(tx, faults(shard))) as Box<dyn FrameSink>
+                    }
+                    _ => Box::new(tx) as Box<dyn FrameSink>,
+                })
                 .collect(),
             back_rxs: back_rxs
                 .into_iter()
@@ -266,19 +288,17 @@ impl ShardTransport for SimulatedTransport {
 pub struct ShardLinks {
     /// Traffic origin → remote (the shard's partitioned sub-stream).
     pub forward: Arc<LinkStats>,
-    /// Traffic remote → origin (the shard results; for groups built with
-    /// [`remote_shard_group_gl`] the unfolded provenance events share this same
-    /// physical link, multiplexed — [`remote_shard_group`] ships results only).
+    /// Traffic remote → origin: the shard results, multiplexed with the metrics
+    /// snapshots and (under GeneaLog) the unfolded provenance events.
     pub back: Arc<LinkStats>,
 }
 
 /// The remote SPE instances hosting the shards of one distributed shard group.
 ///
-/// Returned by [`remote_shard_group`] / [`remote_shard_group_gl`] alongside the
-/// [`ShardPlacement`]s to hand to
-/// `Query::sharded_aggregate_placed`. After the originating query has drained, call
-/// [`RemoteShardGroup::wait`] to join the remote instances and fold their reports
-/// into the origin's with
+/// Part of the [`ShardGroup`] returned by [`remote_shard_group`] (and by
+/// [`connect_gl_node_group`](crate::node::connect_gl_node_group)). After the
+/// originating query has drained, call [`RemoteShardGroup::wait`] to join the
+/// remote instances and fold their reports into the origin's with
 /// [`QueryReport::merge_distributed`](genealog_spe::runtime::QueryReport).
 pub struct RemoteShardGroup {
     handles: Vec<QueryHandle>,
@@ -314,7 +334,7 @@ impl MetricsShipper {
 /// the remote mid-stream) would hold the link open forever and the originating
 /// query — and with it the whole recovery path — would wedge waiting for an
 /// end-of-stream that can no longer arrive.
-pub(crate) fn spawn_metrics_shipper<L: FrameSink>(
+fn spawn_metrics_shipper<L: FrameSink>(
     registry: Arc<MetricsRegistry>,
     link: L,
     engine: QueryCompletion,
@@ -421,15 +441,24 @@ impl RemoteShardGroup {
     }
 }
 
-/// What [`remote_shard_group`] hands back: the per-shard placements for the
-/// originating query and the handle joining the remote instances.
-pub type ShardGroupDeployment<P, I, O> = (Vec<ShardPlacement<P, I, O>>, RemoteShardGroup);
+/// A distributed shard group, as built by [`remote_shard_group`] or
+/// [`connect_gl_node_group`](crate::node::connect_gl_node_group).
+pub struct ShardGroup<P: ProvenanceSystem, I, O> {
+    /// Placements splicing the shards into the originating query (`place(..)` /
+    /// `Query::sharded_aggregate_placed`), in shard order.
+    pub placements: Vec<ShardPlacement<P, I, O>>,
+    /// The remote instances and link counters.
+    pub group: RemoteShardGroup,
+    /// Per-shard receivers of the remote instances' unfolded provenance streams
+    /// (`UpstreamEvent<I>` frames on the return links' provenance channel), for
+    /// [`attach_shard_provenance_sink`]. Only GeneaLog shards send on them.
+    pub provenance_links: Vec<Box<dyn FrameSource>>,
+}
 
 /// The placement that splices one remote shard into the originating query: egress
 /// Send onto the forward link, ingress Receive from the return link, both tagged
 /// into per-endpoint shard groups so the runtime folds their reports across the
-/// group. Shared by [`remote_shard_group`] and [`remote_shard_group_gl`] so the
-/// two paths cannot drift apart.
+/// group.
 pub(crate) fn splice_remote_shard<P, I, O, S, R>(
     name: &str,
     instances: usize,
@@ -460,66 +489,80 @@ where
     )
 }
 
+/// Builds and deploys the engine of one remote shard on `remote`:
+/// `{name}.recv` from `forward_rx`, then the plan built by `build`, then
+/// [`WireProvenance::send_shard_output`] onto the data and provenance channels;
+/// a metrics shipper streams the engine's registry onto `metrics_tx` when it is
+/// enabled. [`remote_shard_group`] and the `spe-node` worker both host their
+/// shards through this one function.
+pub(crate) fn deploy_shard<P, I, O, R, S>(
+    name: &str,
+    mut remote: Query<P>,
+    forward_rx: R,
+    [data_tx, provenance_tx, metrics_tx]: [S; 3],
+    build: impl FnOnce(&mut Query<P>, StreamRef<I, P::Meta>) -> StreamRef<O, P::Meta>,
+) -> Result<(QueryHandle, Option<MetricsShipper>), SpeError>
+where
+    P: WireProvenance,
+    I: TupleData + WireEncode + WireDecode,
+    O: TupleData + WireEncode,
+    R: FrameSource,
+    S: FrameSink,
+{
+    let received = add_receive(&mut remote, &format!("{name}.recv"), forward_rx);
+    let out = build(&mut remote, received);
+    P::send_shard_output::<I, O, _, _>(&mut remote, name, out, data_tx, provenance_tx);
+    let handle = remote.deploy()?;
+    let shipper = handle
+        .registry()
+        .is_enabled()
+        .then(|| spawn_metrics_shipper(handle.registry(), metrics_tx, handle.completion()));
+    Ok((handle, shipper))
+}
+
 /// Builds the remote SPE instances of a distributed shard group and the matching
 /// [`ShardPlacement`]s for the originating query.
 ///
-/// For each of the `instances` shards this spawns a dedicated SPE instance running
-/// `ReceiveOp → (the plan built by `build`) → SendOp`, connected to the origin by a
-/// forward and a return [`SimulatedLink`]. The returned placements splice each shard
-/// into the origin's Partition exchange: the shard's partitioned sub-stream leaves
-/// through an instrumented Send (`{name}.egress[i]`), and the remote results re-enter
-/// through a Receive (`{name}.ingress[i]`) feeding the provenance-safe fan-in.
+/// For each of the `instances` shards this asks `transport` for a forward and a
+/// return link (e.g. `&SimulatedTransport::new(network)` in-process, or
+/// `TcpLoopbackTransport` for real sockets) and deploys a dedicated SPE instance
+/// running `Receive → (the plan built by `build`) → Send`. The returned
+/// placements splice each shard into the origin's Partition exchange: the
+/// shard's partitioned sub-stream leaves through an instrumented Send
+/// (`{name}.egress[i]`), and the remote results re-enter through a Receive
+/// (`{name}.ingress[i]`) feeding the provenance-safe fan-in.
 ///
-/// `provenance` is called once per instance so each remote engine gets its own id
-/// namespace (e.g. `GeneaLog::for_instance`); `build` should name the shard operator
-/// with the group's logical name (the same in every instance) so
+/// Under **GeneaLog** each remote instance additionally runs a single-stream
+/// unfolder on its shard output and ships the unfolded stream back on the return
+/// link's provenance channel ([`WireProvenance::send_shard_output`]). The origin
+/// resolves the REMOTE originating tuples of its own unfolded sink stream against
+/// these streams with [`attach_shard_provenance_sink`] (Definition 6.4), which is
+/// what makes the group's contribution sets identical to the single-instance
+/// plan's.
+///
+/// `systems` is called once per shard index so each remote engine gets its own id
+/// namespace (e.g. `|i| GeneaLog::for_instance(1 + i as u32)`; the originating
+/// query must use a different one). Recovery drivers pass clones of one
+/// long-lived system per shard instead: tuple ids must stay unique across restart
+/// attempts, since the checkpointed provenance prefix is grouped by sink tuple id
+/// and an engine that restarted its id counter at zero could collide with ids the
+/// failed attempt already persisted. `build` should name the shard operator with
+/// the group's logical name (the same in every instance) so
 /// [`QueryReport::merge_distributed`](genealog_spe::runtime::QueryReport) folds the
-/// per-instance reports into one operator with an `instances` count, exactly like a
-/// local shard group.
+/// per-instance reports into one operator with an `instances` count, exactly like
+/// a local shard group.
 ///
 /// # Errors
-/// Propagates deployment errors from the remote instances.
+/// Propagates link-establishment errors from the transport and deployment errors
+/// from the remote instances.
 pub fn remote_shard_group<P, I, O, PF, B>(
     name: &str,
     instances: usize,
-    network: NetworkConfig,
-    config: QueryConfig,
-    provenance: PF,
-    build: B,
-) -> Result<ShardGroupDeployment<P, I, O>, SpeError>
-where
-    P: WireProvenance,
-    I: TupleData + WireEncode + WireDecode,
-    O: TupleData + WireEncode + WireDecode,
-    PF: Fn(usize) -> P,
-    B: Fn(&mut Query<P>, usize, StreamRef<I, P::Meta>) -> StreamRef<O, P::Meta>,
-{
-    remote_shard_group_over(
-        name,
-        instances,
-        &SimulatedTransport::new(network),
-        config,
-        provenance,
-        build,
-    )
-}
-
-/// [`remote_shard_group`] over an explicit [`ShardTransport`] — the same wiring,
-/// provenance semantics and metrics shipping, with the physical links supplied by
-/// `transport` (e.g. `TcpLoopbackTransport` for real sockets) instead of the
-/// in-process [`SimulatedLink`].
-///
-/// # Errors
-/// Propagates link-establishment errors from the transport and deployment errors
-/// from the remote instances.
-pub fn remote_shard_group_over<P, I, O, PF, B>(
-    name: &str,
-    instances: usize,
     transport: &dyn ShardTransport,
     config: QueryConfig,
-    provenance: PF,
+    systems: PF,
     build: B,
-) -> Result<ShardGroupDeployment<P, I, O>, SpeError>
+) -> Result<ShardGroup<P, I, O>, SpeError>
 where
     P: WireProvenance,
     I: TupleData + WireEncode + WireDecode,
@@ -532,288 +575,46 @@ where
     let mut handles = Vec::with_capacity(instances);
     let mut links = Vec::with_capacity(instances);
     let mut shippers = Vec::with_capacity(instances);
-    let mut metrics_rxs = Vec::with_capacity(instances);
-    for i in 0..instances {
-        // One physical return link, two multiplexed channels: shard results and the
-        // instance's live metrics snapshots.
-        let ShardWiring {
-            forward_tx,
-            forward_rx,
-            forward_stats,
-            mut back_txs,
-            mut back_rxs,
-            back_stats,
-        } = transport.shard_links(i, 2)?;
-        let metrics_tx = back_txs.pop().expect("two channels");
-        let data_tx = back_txs.pop().expect("two channels");
-        let metrics_rx = back_rxs.pop().expect("two channels");
-        let data_rx = back_rxs.pop().expect("two channels");
-
-        let mut remote = Query::with_config(provenance(i), config);
-        let received: StreamRef<I, P::Meta> =
-            add_receive(&mut remote, &format!("{name}.recv"), forward_rx);
-        let out = build(&mut remote, i, received);
-        add_send(&mut remote, &format!("{name}.send"), out, data_tx);
-        let handle = remote.deploy()?;
-        if handle.registry().is_enabled() {
-            shippers.push(spawn_metrics_shipper(
-                handle.registry(),
-                metrics_tx,
-                handle.completion(),
-            ));
-        }
-        handles.push(handle);
-
-        placements.push(splice_remote_shard(name, instances, forward_tx, data_rx));
-        links.push(ShardLinks {
-            forward: forward_stats,
-            back: back_stats,
-        });
-        metrics_rxs.push(metrics_rx);
-    }
-    Ok((
-        placements,
-        RemoteShardGroup {
-            handles,
-            links,
-            shippers,
-            metrics_rxs,
-            pumps: Vec::new(),
-        },
-    ))
-}
-
-/// A distributed shard group under **GeneaLog**: the placements, the remote
-/// instances, and the per-shard provenance streams needed to stitch lineage across
-/// the REMOTE boundary (see [`attach_shard_provenance_sink`]).
-pub struct GlShardGroup<I, O> {
-    /// Placements for `Query::sharded_aggregate_placed` on the originating query.
-    pub placements: Vec<ShardPlacement<GeneaLog, I, O>>,
-    /// The remote instances and link counters.
-    pub group: RemoteShardGroup,
-    /// Per-shard receivers of the remote instances' unfolded provenance streams
-    /// (`UpstreamEvent<I>` frames, multiplexed onto the shards' return links).
-    pub provenance_links: Vec<Box<dyn FrameSource>>,
-}
-
-/// [`remote_shard_group`] under **GeneaLog**, with cross-boundary provenance.
-///
-/// Each remote instance additionally runs a single-stream unfolder on its shard
-/// output and ships the unfolded stream — mapped to [`UpstreamEvent`]s keyed by the
-/// delivering tuple's id — back to the origin on a second channel of the shard's
-/// return link (multiplexed, [`SharedLink`]). The origin resolves the REMOTE
-/// originating tuples of its own unfolded sink stream against these upstream streams
-/// with the multi-stream unfolder (Definition 6.4), which is what makes the
-/// distributed shard group's contribution sets identical to the single-instance
-/// plan's.
-///
-/// Remote instance `i` uses the GeneaLog id namespace `first_instance + i`; the
-/// originating query must use a different one.
-///
-/// # Errors
-/// Propagates deployment errors from the remote instances.
-pub fn remote_shard_group_gl<I, O, B>(
-    name: &str,
-    instances: usize,
-    first_instance: u32,
-    network: NetworkConfig,
-    config: QueryConfig,
-    build: B,
-) -> Result<GlShardGroup<I, O>, SpeError>
-where
-    I: TupleData + WireEncode + WireDecode,
-    O: TupleData + WireEncode + WireDecode,
-    B: Fn(&mut Query<GeneaLog>, usize, StreamRef<I, GlMeta>) -> StreamRef<O, GlMeta>,
-{
-    remote_shard_group_gl_with_faults(
-        name,
-        instances,
-        |i| GeneaLog::for_instance(first_instance + i as u32),
-        network,
-        config,
-        |_| LinkFaults::none(),
-        build,
-    )
-}
-
-/// [`remote_shard_group_gl`] over an explicit [`ShardTransport`]: identical
-/// provenance stitching and metrics shipping, with the shard links supplied by the
-/// transport instead of the in-process [`SimulatedLink`].
-///
-/// # Errors
-/// Propagates link-establishment errors from the transport and deployment errors
-/// from the remote instances.
-pub fn remote_shard_group_gl_over<I, O, B>(
-    name: &str,
-    instances: usize,
-    first_instance: u32,
-    transport: &dyn ShardTransport,
-    config: QueryConfig,
-    build: B,
-) -> Result<GlShardGroup<I, O>, SpeError>
-where
-    I: TupleData + WireEncode + WireDecode,
-    O: TupleData + WireEncode + WireDecode,
-    B: Fn(&mut Query<GeneaLog>, usize, StreamRef<I, GlMeta>) -> StreamRef<O, GlMeta>,
-{
-    remote_shard_group_gl_with_faults_over(
-        name,
-        instances,
-        |i| GeneaLog::for_instance(first_instance + i as u32),
-        transport,
-        config,
-        |_| LinkFaults::none(),
-        build,
-    )
-}
-
-/// [`remote_shard_group_gl`] with frame faults injected on the remote → origin data
-/// channel of selected shards.
-///
-/// `faults` is called once per shard index; the returned [`LinkFaults`] decorate the
-/// shard's return-link data channel with a [`FaultySender`]. A severed channel
-/// surfaces at the origin's ingress as a mid-stream close, a dropped frame as a
-/// sequence gap — both fail the originating query into the recovery path, which is
-/// exactly what the fault-injection tests drive. Pass `|_| LinkFaults::none()` (or
-/// use [`remote_shard_group_gl`]) for a healthy deployment.
-///
-/// `systems` supplies the [`GeneaLog`] instance for each shard index instead of the
-/// plain `first_instance` namespace offset of [`remote_shard_group_gl`]. Recovery
-/// drivers need this: tuple ids must stay unique across restart attempts (the
-/// checkpointed provenance prefix is grouped by sink tuple id, so a rebuilt engine
-/// that restarts its id counter at zero could collide with ids already persisted by
-/// the failed attempt). Passing clones of one long-lived system per shard keeps the
-/// shared id counter monotone across attempts.
-///
-/// # Errors
-/// Propagates deployment errors from the remote instances.
-#[allow(clippy::too_many_arguments)]
-pub fn remote_shard_group_gl_with_faults<I, O, B, FF, SF>(
-    name: &str,
-    instances: usize,
-    systems: SF,
-    network: NetworkConfig,
-    config: QueryConfig,
-    faults: FF,
-    build: B,
-) -> Result<GlShardGroup<I, O>, SpeError>
-where
-    I: TupleData + WireEncode + WireDecode,
-    O: TupleData + WireEncode + WireDecode,
-    B: Fn(&mut Query<GeneaLog>, usize, StreamRef<I, GlMeta>) -> StreamRef<O, GlMeta>,
-    FF: Fn(usize) -> LinkFaults,
-    SF: Fn(usize) -> GeneaLog,
-{
-    remote_shard_group_gl_with_faults_over(
-        name,
-        instances,
-        systems,
-        &SimulatedTransport::new(network),
-        config,
-        faults,
-        build,
-    )
-}
-
-/// [`remote_shard_group_gl_with_faults`] over an explicit [`ShardTransport`].
-///
-/// Frame faults injected through `faults` decorate the data channel *above* the
-/// transport, so they compose with whatever failure modes the transport itself has
-/// (a TCP transport can additionally kill sockets underneath the mux — see
-/// `TcpLoopbackTransport::with_return_kill`).
-///
-/// # Errors
-/// Propagates link-establishment errors from the transport and deployment errors
-/// from the remote instances.
-#[allow(clippy::too_many_arguments)]
-pub fn remote_shard_group_gl_with_faults_over<I, O, B, FF, SF>(
-    name: &str,
-    instances: usize,
-    systems: SF,
-    transport: &dyn ShardTransport,
-    config: QueryConfig,
-    faults: FF,
-    build: B,
-) -> Result<GlShardGroup<I, O>, SpeError>
-where
-    I: TupleData + WireEncode + WireDecode,
-    O: TupleData + WireEncode + WireDecode,
-    B: Fn(&mut Query<GeneaLog>, usize, StreamRef<I, GlMeta>) -> StreamRef<O, GlMeta>,
-    FF: Fn(usize) -> LinkFaults,
-    SF: Fn(usize) -> GeneaLog,
-{
-    assert!(instances > 0, "a shard group needs at least one instance");
-    let mut placements = Vec::with_capacity(instances);
-    let mut handles = Vec::with_capacity(instances);
-    let mut links = Vec::with_capacity(instances);
     let mut provenance_links = Vec::with_capacity(instances);
-    let mut shippers = Vec::with_capacity(instances);
     let mut metrics_rxs = Vec::with_capacity(instances);
     for i in 0..instances {
-        // One physical return link, three multiplexed channels: shard results, the
-        // unfolded provenance stream, and the instance's live metrics snapshots.
-        let ShardWiring {
-            forward_tx,
-            forward_rx,
-            forward_stats,
-            mut back_txs,
-            mut back_rxs,
-            back_stats,
-        } = transport.shard_links(i, 3)?;
-        let metrics_tx = back_txs.pop().expect("three channels");
-        let provenance_tx = back_txs.pop().expect("three channels");
-        let data_tx = back_txs.pop().expect("three channels");
-        let metrics_rx = back_rxs.pop().expect("three channels");
-        let provenance_rx = back_rxs.pop().expect("three channels");
-        let data_rx = back_rxs.pop().expect("three channels");
-
-        let mut remote = Query::with_config(systems(i), config);
-        let received: StreamRef<I, GlMeta> =
-            add_receive(&mut remote, &format!("{name}.recv"), forward_rx);
-        let out = build(&mut remote, i, received);
-        let (to_send, unfolded) = attach_unfolder(&mut remote, &format!("{name}.su"), out);
-        let data_tx = FaultySender::new(data_tx, faults(i));
-        add_send(&mut remote, &format!("{name}.send"), to_send, data_tx);
-        let events = remote.map_one(
-            &format!("{name}.su.events"),
-            unfolded,
-            |u: &UnfoldedTuple<O>| u.to_event::<I>().to_upstream(),
-        );
-        add_send(
-            &mut remote,
-            &format!("{name}.send.prov"),
-            events,
-            provenance_tx,
-        );
-        let handle = remote.deploy()?;
-        if handle.registry().is_enabled() {
-            shippers.push(spawn_metrics_shipper(
-                handle.registry(),
-                metrics_tx,
-                handle.completion(),
-            ));
-        }
+        let wiring = transport.shard_links(i, 3)?;
+        let [data_rx, provenance_rx, metrics_rx] = three_channels(wiring.back_rxs);
+        let (handle, shipper) = deploy_shard(
+            name,
+            Query::with_config(systems(i), config),
+            wiring.forward_rx,
+            three_channels(wiring.back_txs),
+            |q, input| build(q, i, input),
+        )?;
         handles.push(handle);
-
-        placements.push(splice_remote_shard(name, instances, forward_tx, data_rx));
+        shippers.extend(shipper);
+        placements.push(splice_remote_shard(
+            name,
+            instances,
+            wiring.forward_tx,
+            data_rx,
+        ));
         links.push(ShardLinks {
-            forward: forward_stats,
-            back: back_stats,
+            forward: wiring.forward_stats,
+            back: wiring.back_stats,
         });
         provenance_links.push(provenance_rx);
         metrics_rxs.push(metrics_rx);
     }
-    Ok(GlShardGroup {
+    Ok(ShardGroup {
         placements,
-        group: RemoteShardGroup {
-            handles,
-            links,
-            shippers,
-            metrics_rxs,
-            pumps: Vec::new(),
-        },
+        group: RemoteShardGroup::from_parts(handles, links, shippers, metrics_rxs),
         provenance_links,
     })
+}
+
+/// The data, provenance and metrics channels of a shard's return link.
+fn three_channels<T>(channels: Vec<T>) -> [T; 3] {
+    let count = channels.len();
+    channels
+        .try_into()
+        .unwrap_or_else(|_| panic!("a shard transport returned {count} channels, not 3"))
 }
 
 /// Collects the stitched provenance of a query whose plan contains distributed shard
@@ -889,7 +690,7 @@ where
 /// The origin's own unfolded stream terminates at REMOTE originating tuples for
 /// every sink tuple that crossed back from a remote shard; this helper resolves them
 /// with the multi-stream unfolder of §6 against the remote instances' unfolded
-/// streams (`provenance_links`, from [`GlShardGroup`]), so the collected records
+/// streams (`provenance_links`, from [`ShardGroup`]), so the collected records
 /// carry the actual source tuples — identical to what
 /// `genealog::attach_provenance_sink` reports for the equivalent single-instance
 /// plan. Local shards' lineage needs no stitching (their chain pointers never left
@@ -1106,32 +907,13 @@ where
         .collecting_sink(&format!("{name}-provenance-sink"));
 
     // --- Run all three instances to completion -----------------------------------
-    let handles = vec![plan1.deploy()?, plan2.deploy()?, plan3.deploy()?];
-    let mut reports = Vec::with_capacity(handles.len());
-    for handle in handles {
-        reports.push(handle.wait()?);
-    }
-
-    let alerts = data_sink
-        .tuples()
-        .iter()
-        .map(|t| (t.ts, t.data.clone()))
-        .collect();
-    let provenance = group_provenance(
-        provenance_sink
-            .tuples()
-            .iter()
-            .map(|t| t.data.clone())
-            .collect(),
-    );
-    Ok(DistributedOutcome {
-        reports,
-        alerts,
-        sink_stats: Arc::clone(data_sink.stats()),
-        provenance,
-        data_link_bytes: data_stats.bytes(),
-        provenance_link_bytes: up_stats.bytes() + derived_stats.bytes(),
-    })
+    run_to_outcome(
+        vec![plan1.deploy()?, plan2.deploy()?, plan3.deploy()?],
+        &data_sink,
+        Some(&provenance_sink),
+        &data_stats,
+        &[&up_stats, &derived_stats],
+    )
 }
 
 /// Deploys a two-stage query over two SPE instances with **no provenance**
@@ -1171,25 +953,13 @@ where
         .raw(&format!("{name}-stage2"), move |q, s| stage2(q, s))
         .collecting_sink(&format!("{name}-data-sink"));
 
-    let handles = vec![plan1.deploy()?, plan2.deploy()?];
-    let mut reports = Vec::with_capacity(handles.len());
-    for handle in handles {
-        reports.push(handle.wait()?);
-    }
-
-    let alerts = data_sink
-        .tuples()
-        .iter()
-        .map(|t| (t.ts, t.data.clone()))
-        .collect();
-    Ok(DistributedOutcome {
-        reports,
-        alerts,
-        sink_stats: Arc::clone(data_sink.stats()),
-        provenance: Vec::new(),
-        data_link_bytes: data_stats.bytes(),
-        provenance_link_bytes: 0,
-    })
+    run_to_outcome(
+        vec![plan1.deploy()?, plan2.deploy()?],
+        &data_sink,
+        None,
+        &data_stats,
+        &[],
+    )
 }
 
 /// Deploys a two-stage query over three SPE instances with the **Ariadne-style
@@ -1257,24 +1027,48 @@ where
         receive_stream(&plan3, &format!("{name}-i3-receive-sources"), source_rx);
     let _store = forwarded.collecting_sink(&format!("{name}-source-store"));
 
-    let handles = vec![plan1.deploy()?, plan2.deploy()?, plan3.deploy()?];
-    let mut reports = Vec::with_capacity(handles.len());
-    for handle in handles {
-        reports.push(handle.wait()?);
-    }
+    run_to_outcome(
+        vec![plan1.deploy()?, plan2.deploy()?, plan3.deploy()?],
+        &data_sink,
+        None,
+        &data_stats,
+        &[&source_stats],
+    )
+}
 
-    let alerts = data_sink
-        .tuples()
-        .iter()
-        .map(|t| (t.ts, t.data.clone()))
-        .collect();
+/// The shared tail of the `deploy_distributed_*` deployments: waits for every
+/// instance in order, then assembles the outcome from the data sink, the
+/// provenance instance's unfolded events (GeneaLog only) and the byte counts of
+/// the data link and of the links towards the provenance instance.
+fn run_to_outcome<D, S, M>(
+    handles: Vec<QueryHandle>,
+    data_sink: &CollectedStream<D, M>,
+    provenance_sink: Option<&CollectedStream<UnfoldedEvent<D, S>, ()>>,
+    data_link: &LinkStats,
+    provenance_links: &[&Arc<LinkStats>],
+) -> Result<DistributedOutcome<D, S>, SpeError>
+where
+    D: TupleData,
+    S: TupleData,
+{
+    let reports = handles
+        .into_iter()
+        .map(QueryHandle::wait)
+        .collect::<Result<Vec<_>, _>>()?;
+    let provenance = provenance_sink.map_or_else(Vec::new, |sink| {
+        group_provenance(sink.tuples().iter().map(|t| t.data.clone()).collect())
+    });
     Ok(DistributedOutcome {
         reports,
-        alerts,
+        alerts: data_sink
+            .tuples()
+            .iter()
+            .map(|t| (t.ts, t.data.clone()))
+            .collect(),
         sink_stats: Arc::clone(data_sink.stats()),
-        provenance: Vec::new(),
-        data_link_bytes: data_stats.bytes(),
-        provenance_link_bytes: source_stats.bytes(),
+        provenance,
+        data_link_bytes: data_link.bytes(),
+        provenance_link_bytes: provenance_links.iter().map(|l| l.bytes()).sum(),
     })
 }
 

@@ -25,13 +25,15 @@ use genealog_spe::error::SpeError;
 use genealog_spe::metrics::{OpCounters, OpMetrics};
 use genealog_spe::operator::{Operator, OperatorStats};
 use genealog_spe::provenance::{NoProvenance, ProvenanceSystem, RemoteContext};
+use genealog_spe::query::{Query, StreamRef};
 use genealog_spe::state::CheckpointHandle;
 use genealog_spe::tuple::{Element, GTuple, TupleData, TupleId};
 use genealog_spe::Timestamp;
 
-use genealog::{GeneaLog, GlMeta, OpKind};
+use genealog::{attach_unfolder, GeneaLog, GlMeta, OpKind, UnfoldedTuple};
 use genealog_baseline::{AriadneBaseline, BlMeta};
 
+use crate::deployment::add_send;
 use crate::network::{FrameSink, FrameSource, LinkReceiver, LinkSender};
 use crate::wire::{WireDecode, WireEncode, WireError, WireReader};
 
@@ -50,6 +52,26 @@ pub struct WireTag {
 pub trait WireProvenance: ProvenanceSystem {
     /// The wire tag of a tuple about to be sent.
     fn wire_tag<T: TupleData>(&self, tuple: &Arc<GTuple<T, Self::Meta>>) -> WireTag;
+
+    /// Terminates a remote shard's engine: ships the shard output `out` onto
+    /// `data` through the `{name}.send` endpoint. `provenance` is the return
+    /// link's provenance channel; only GeneaLog ships anything on it (§6's
+    /// shard-side unfolder), every other system leaves it unused.
+    fn send_shard_output<I, O, D, V>(
+        q: &mut Query<Self>,
+        name: &str,
+        out: StreamRef<O, Self::Meta>,
+        data: D,
+        provenance: V,
+    ) where
+        I: TupleData + WireEncode,
+        O: TupleData + WireEncode,
+        D: FrameSink,
+        V: FrameSink,
+    {
+        drop(provenance);
+        add_send(q, &format!("{name}.send"), out, data);
+    }
 }
 
 impl WireProvenance for NoProvenance {
@@ -82,6 +104,34 @@ impl WireProvenance for GeneaLog {
             id,
             was_source: kind == OpKind::Source,
         }
+    }
+
+    /// Adds the shard-side half of cross-instance provenance: a single-stream
+    /// unfolder (`{name}.su`) on the shard output, whose unfolded stream —
+    /// mapped to [`UpstreamEvent`](genealog::UpstreamEvent)s keyed by the
+    /// delivering tuple's id (`{name}.su.events`) — ships on `provenance`
+    /// (`{name}.send.prov`). The origin's MU resolves its REMOTE tuples against
+    /// it (Definition 6.4).
+    fn send_shard_output<I, O, D, V>(
+        q: &mut Query<Self>,
+        name: &str,
+        out: StreamRef<O, GlMeta>,
+        data: D,
+        provenance: V,
+    ) where
+        I: TupleData + WireEncode,
+        O: TupleData + WireEncode,
+        D: FrameSink,
+        V: FrameSink,
+    {
+        let (to_send, unfolded) = attach_unfolder(q, &format!("{name}.su"), out);
+        add_send(q, &format!("{name}.send"), to_send, data);
+        let events = q.map_one(
+            &format!("{name}.su.events"),
+            unfolded,
+            |u: &UnfoldedTuple<O>| u.to_event::<I>().to_upstream(),
+        );
+        add_send(q, &format!("{name}.send.prov"), events, provenance);
     }
 }
 

@@ -19,10 +19,10 @@
 //! * [`deployment`] — the three-instance deployments of Figures 7, 9C, 10C and 11C for
 //!   Q1–Q4 under NP, GL and BL, wiring the single-stream unfolders on instances 1–2
 //!   and the multi-stream unfolder on instance 3 — plus the **distributed shard
-//!   group** helpers ([`deployment::remote_shard_group`],
-//!   [`deployment::remote_shard_group_gl`]) that span a key-partitioned operator's
-//!   Partition exchange across SPE instances, with the provenance stitched back
-//!   together by [`deployment::attach_shard_provenance_sink`].
+//!   group** constructor [`deployment::remote_shard_group`], which spans a
+//!   key-partitioned operator's Partition exchange across SPE instances over any
+//!   [`deployment::ShardTransport`]; under GeneaLog the provenance is stitched
+//!   back together by [`deployment::attach_shard_provenance_sink`].
 //! * [`fault`] — controlled failure injection ([`fault::FaultySender`],
 //!   [`fault::FaultPlan`]): dropped, duplicated, delayed and severed frames, plus
 //!   the fire-once triggers the recovery tests use to kill a shard thread on the
@@ -50,9 +50,7 @@ pub mod wire;
 pub use deployment::{
     attach_shard_provenance_sink, deploy_distributed_baseline, deploy_distributed_genealog,
     deploy_distributed_noprov, group_provenance, instances_dot, remote_shard_group,
-    remote_shard_group_gl, remote_shard_group_gl_over, remote_shard_group_gl_with_faults,
-    remote_shard_group_gl_with_faults_over, remote_shard_group_over, DistributedOutcome,
-    GlShardGroup, ProvenanceRecord, RemoteShardGroup, ShardGroupDeployment, ShardLinks,
+    DistributedOutcome, ProvenanceRecord, RemoteShardGroup, ShardGroup, ShardLinks,
     ShardProvenanceCollector, ShardTransport, ShardWiring, SimulatedTransport,
 };
 pub use endpoint::{
@@ -64,8 +62,8 @@ pub use network::{
     SimulatedLink,
 };
 pub use node::{
-    connect_gl_node_group, run_node, run_node_with_state, serve_node_connection,
-    serve_node_connection_with_state, NodeDeployment, NodeReading, NodeStores, ShardOpSpec, ACK,
+    connect_gl_node_group, run_node, serve_node_connection, NodeDeployment, NodeReading,
+    NodeStores, ShardOpSpec, ACK,
 };
 pub use tcp::{
     TcpLink, TcpLoopbackTransport, TcpReceiver, TcpSender, TcpSeverHandle, MAX_FRAME_BYTES,

@@ -15,12 +15,11 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crossbeam_channel::{bounded, unbounded, Receiver, SendTimeoutError, Sender};
 use genealog_metrics::{MetricsRegistry, Tracer};
-use parking_lot::Mutex;
 
 /// Bandwidth and propagation latency of a simulated link.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -406,22 +405,40 @@ pub struct MuxSender<S: FrameSink + Clone = LinkSender> {
     inner: S,
 }
 
-struct MuxState {
+/// The demultiplexer state shared by every receiver of one [`SharedLink`]: one
+/// lock, one condition variable.
+struct Mux<R> {
+    state: Mutex<MuxState<R>>,
+    wake: Condvar,
+}
+
+impl<R> Mux<R> {
+    fn lock(&self) -> MutexGuard<'_, MuxState<R>> {
+        // Every update under the lock is a single push, take or store, so the
+        // state is valid even after a holder panicked.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+struct MuxState<R> {
     queues: Vec<VecDeque<Vec<u8>>>,
+    /// The shared link, `None` while a receiver holds the puller role (blocked
+    /// on the link with the lock released).
+    link: Option<R>,
     closed: bool,
 }
 
 /// The receiving half of one channel of a [`SharedLink`].
 ///
-/// Two locks, deliberately: `queues` is only ever held for a pop or a park (never
-/// across a blocking receive), so a channel whose frames have already arrived drains
-/// them even while the sibling channel's receiver is blocked pulling the link; the
-/// separate `puller` lock serialises the pulls themselves, preserving per-channel
-/// FIFO order.
+/// The lock is never held across the blocking receive, so a channel whose
+/// frames have already arrived drains them while a sibling pulls the link. A
+/// receiver with nothing queued either takes the puller role or waits on the
+/// condition variable; the puller hands the link back and wakes every waiter
+/// after each pull (a parked frame, or the link's close), so no waiter can
+/// miss a frame parked for it.
 pub struct MuxReceiver<R: FrameSource = LinkReceiver> {
     channel: usize,
-    queues: Arc<Mutex<MuxState>>,
-    puller: Arc<Mutex<R>>,
+    mux: Arc<Mux<R>>,
     stats: Arc<LinkStats>,
 }
 
@@ -461,11 +478,14 @@ impl SharedLink {
         R: FrameSource,
     {
         assert!(channels > 0, "a shared link needs at least one channel");
-        let queues = Arc::new(Mutex::new(MuxState {
-            queues: (0..channels).map(|_| VecDeque::new()).collect(),
-            closed: false,
-        }));
-        let puller = Arc::new(Mutex::new(rx));
+        let mux = Arc::new(Mux {
+            state: Mutex::new(MuxState {
+                queues: (0..channels).map(|_| VecDeque::new()).collect(),
+                link: Some(rx),
+                closed: false,
+            }),
+            wake: Condvar::new(),
+        });
         let senders = (0..channels)
             .map(|channel| MuxSender {
                 channel: channel as u32,
@@ -475,8 +495,7 @@ impl SharedLink {
         let receivers = (0..channels)
             .map(|channel| MuxReceiver {
                 channel,
-                queues: Arc::clone(&queues),
-                puller: Arc::clone(&puller),
+                mux: Arc::clone(&mux),
                 stats: Arc::clone(&stats),
             })
             .collect();
@@ -494,81 +513,75 @@ impl<S: FrameSink + Clone> FrameSink for MuxSender<S> {
 }
 
 impl<R: FrameSource> MuxReceiver<R> {
-    /// Pops this channel's next queued frame; `Some(None)` means the link is closed
-    /// and drained, `None` means nothing is queued yet.
-    fn try_pop(&self) -> Option<Option<Vec<u8>>> {
-        let mut state = self.queues.lock();
-        if let Some(frame) = state.queues[self.channel].pop_front() {
-            return Some(Some(frame));
-        }
-        if state.closed {
-            return Some(None);
-        }
-        None
+    /// Routes one frame pulled off the link into its channel's queue, counting
+    /// (instead of silently dropping) frames that cannot be routed.
+    fn park(&self, queues: &mut [VecDeque<Vec<u8>>], mut framed: Vec<u8>) {
+        let Some(prefix) = framed.get(..4).and_then(|p| <[u8; 4]>::try_from(p).ok()) else {
+            // Runt frame: too short to carry a channel prefix. The payload (if
+            // any) is lost — account for it instead of dropping it silently.
+            self.stats.record_runt();
+            Tracer::global().emit_once(
+                "link-dropped-frame",
+                "runt",
+                format!(
+                    "dropped a {}-byte frame: too short for the 4-byte channel prefix \
+                     (further runts are only counted)",
+                    framed.len()
+                ),
+            );
+            return;
+        };
+        let channel = u32::from_le_bytes(prefix) as usize;
+        let channels = queues.len();
+        let Some(queue) = queues.get_mut(channel) else {
+            self.stats.record_unroutable();
+            Tracer::global().emit_once(
+                "link-dropped-frame",
+                "unroutable",
+                format!(
+                    "dropped a frame addressed to channel {channel} of a {channels}-channel \
+                     link (further unroutable frames are only counted)"
+                ),
+            );
+            return;
+        };
+        // Strip the prefix in place: one memmove, no re-allocation on the
+        // per-frame hot path.
+        framed.drain(..4);
+        queue.push_back(framed);
     }
 }
 
 impl<R: FrameSource> FrameSource for MuxReceiver<R> {
     fn recv_frame(&self) -> Option<Vec<u8>> {
+        let mut state = self.mux.lock();
         loop {
-            if let Some(result) = self.try_pop() {
-                return result;
+            if let Some(frame) = state.queues[self.channel].pop_front() {
+                return Some(frame);
             }
-            // Become the puller. The queues lock is NOT held across the blocking
-            // receive, so sibling channels keep draining frames that already
-            // arrived while this thread waits on the link.
-            let puller = self.puller.lock();
-            // Another puller may have parked (or closed) our frame while this
-            // thread waited for the puller lock.
-            if let Some(result) = self.try_pop() {
-                return result;
+            if state.closed {
+                return None;
             }
-            match puller.recv_frame() {
-                Some(mut framed) => {
-                    let Some(prefix) = framed.get(..4).and_then(|p| <[u8; 4]>::try_from(p).ok())
-                    else {
-                        // Runt frame: too short to carry a channel prefix. The
-                        // payload (if any) is lost — account for it instead of
-                        // dropping it silently.
-                        self.stats.record_runt();
-                        Tracer::global().emit_once(
-                            "link-dropped-frame",
-                            "runt",
-                            format!(
-                                "dropped a {}-byte frame: too short for the 4-byte \
-                                 channel prefix (further runts are only counted)",
-                                framed.len()
-                            ),
-                        );
-                        continue;
-                    };
-                    let channel = u32::from_le_bytes(prefix) as usize;
-                    // Strip the prefix in place: one memmove, no re-allocation on
-                    // the per-frame hot path.
-                    framed.drain(..4);
-                    let mut state = self.queues.lock();
-                    if channel < state.queues.len() {
-                        state.queues[channel].push_back(framed);
-                    } else {
-                        let channels = state.queues.len();
-                        drop(state);
-                        self.stats.record_unroutable();
-                        Tracer::global().emit_once(
-                            "link-dropped-frame",
-                            "unroutable",
-                            format!(
-                                "dropped a frame addressed to channel {channel} of a \
-                                 {channels}-channel link (further unroutable frames \
-                                 are only counted)"
-                            ),
-                        );
-                    }
-                }
-                None => {
-                    self.queues.lock().closed = true;
-                    return None;
-                }
+            let Some(link) = state.link.take() else {
+                // A sibling holds the puller role; it wakes us after its pull.
+                state = self
+                    .mux
+                    .wake
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+                continue;
+            };
+            drop(state);
+            let pulled = link.recv_frame();
+            state = self.mux.lock();
+            state.link = Some(link);
+            match pulled {
+                Some(framed) => self.park(&mut state.queues, framed),
+                None => state.closed = true,
             }
+            // Release the puller role: whatever was parked (or the close) is now
+            // visible to every waiting sibling, and one of them may pull next.
+            self.mux.wake.notify_all();
         }
     }
 }
@@ -610,6 +623,72 @@ mod tests {
         // Unblock receiver 1 with its own frame.
         assert!(txs[1].send_frame(vec![7]));
         assert_eq!(blocked.join().unwrap().unwrap(), vec![7]);
+    }
+
+    /// Starts `rx.recv_frame()` on a thread of its own; the result arrives on the
+    /// returned channel.
+    fn recv_on_thread(rx: MuxReceiver) -> std::sync::mpsc::Receiver<Option<Vec<u8>>> {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done_tx.send(rx.recv_frame());
+        });
+        done_rx
+    }
+
+    /// The result of a [`recv_on_thread`] receive, failing the test instead of
+    /// hanging it when none arrives within five seconds.
+    fn result_within(
+        done: &std::sync::mpsc::Receiver<Option<Vec<u8>>>,
+        what: &str,
+    ) -> Option<Vec<u8>> {
+        done.recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("{what} did not return within 5 s"))
+    }
+
+    /// Spins until some receiver of the mux holds the puller role.
+    fn until_pulling<R>(mux: &Mux<R>) {
+        while mux.lock().link.is_some() {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn shared_link_sibling_wake_up_survives_a_thousand_rounds() {
+        for round in 0..1_000u32 {
+            let (txs, mut rxs, _stats) = SharedLink::new(2, NetworkConfig::unlimited());
+            let rx1 = rxs.pop().expect("two receivers");
+            let rx0 = rxs.pop().expect("two receivers");
+            let mux = Arc::clone(&rx1.mux);
+            let puller = recv_on_thread(rx1);
+            until_pulling(&mux);
+            // Receiver 1 is the puller, blocked on the empty link. Receiver 0
+            // races its frame: it either waits for the role or finds the frame
+            // already parked, and must get it without any channel-1 traffic.
+            let sibling = recv_on_thread(rx0);
+            assert!(txs[0].send_frame(round.to_le_bytes().to_vec()));
+            let got = result_within(&sibling, &format!("round {round}: the sibling"));
+            assert_eq!(got, Some(round.to_le_bytes().to_vec()));
+            assert!(txs[1].send_frame(vec![7]));
+            let got = result_within(&puller, &format!("round {round}: the puller"));
+            assert_eq!(got, Some(vec![7]));
+        }
+    }
+
+    #[test]
+    fn shared_link_close_wakes_every_waiting_receiver() {
+        for round in 0..200u32 {
+            let (txs, rxs, _stats) = SharedLink::new(4, NetworkConfig::unlimited());
+            let mux = Arc::clone(&rxs[0].mux);
+            let waiting: Vec<_> = rxs.into_iter().map(recv_on_thread).collect();
+            until_pulling(&mux);
+            drop(txs);
+            for done in &waiting {
+                assert_eq!(
+                    result_within(done, &format!("round {round}: a receiver")),
+                    None
+                );
+            }
+        }
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! client direction, channel `j` = shard `j`'s results, channel `k + j` =
 //! shard `j`'s unfolded provenance stream and channel `2k + j` = shard `j`'s
 //! metrics snapshots — the same per-shard triple that
-//! [`remote_shard_group_gl`](crate::deployment::remote_shard_group_gl) wires
-//! in-process.
+//! [`remote_shard_group`](crate::deployment::remote_shard_group) wires
+//! in-process, and each hosted engine is built by the same per-shard code.
 //!
 //! A node connection that drops mid-deployment severs every hosted shard's
 //! links at once (the accepted socket has nowhere to re-dial), which the
@@ -34,7 +34,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-use genealog::{attach_unfolder, GeneaLog, GlMeta, GlWindowPersister, UnfoldedTuple};
+use genealog::{GeneaLog, GlMeta, GlWindowPersister};
 use genealog_metrics::{decode_samples, MetricsRegistry, Tracer};
 use genealog_spe::operator::aggregate::WindowView;
 use genealog_spe::query::{Query, QueryConfig, StreamRef};
@@ -45,8 +45,7 @@ use genealog_store::{DurableBackend, ScopedBackend, StoreOptions};
 use parking_lot::Mutex;
 
 use crate::deployment::{
-    add_receive, add_send, spawn_metrics_shipper, splice_remote_shard, GlShardGroup,
-    RemoteShardGroup, ShardLinks,
+    deploy_shard, splice_remote_shard, RemoteShardGroup, ShardGroup, ShardLinks,
 };
 use crate::network::{FrameSink, FrameSource, LinkStats, SharedLink};
 use crate::tcp::{
@@ -84,6 +83,7 @@ pub enum ShardOpSpec {
 }
 
 impl ShardOpSpec {
+    /// The spec'd window, validated.
     fn window(&self) -> Result<WindowSpec, SpeError> {
         let (size_ms, slide_ms) = match *self {
             ShardOpSpec::SumAggregate { size_ms, slide_ms }
@@ -95,14 +95,15 @@ impl ShardOpSpec {
         )
     }
 
-    /// Splices the spec'd operator into a node-side query.
+    /// Splices the spec'd operator, windowed by `spec` (see
+    /// [`ShardOpSpec::window`]), into a node-side query.
     fn build(
         &self,
         q: &mut Query<GeneaLog>,
         name: &str,
         input: StreamRef<NodeReading, GlMeta>,
-    ) -> Result<StreamRef<NodeReading, GlMeta>, SpeError> {
-        let spec = self.window()?;
+        spec: WindowSpec,
+    ) -> StreamRef<NodeReading, GlMeta> {
         let staged = match self {
             ShardOpSpec::SumAggregate { .. } => input,
             ShardOpSpec::FilteredScaledSum { .. } => {
@@ -110,7 +111,7 @@ impl ShardOpSpec {
                 q.map_one("scale", kept, |r: &NodeReading| (r.0, r.1 * 2))
             }
         };
-        Ok(q.aggregate(
+        q.aggregate(
             name,
             staged,
             spec,
@@ -118,7 +119,7 @@ impl ShardOpSpec {
             |w: &WindowView<'_, u32, NodeReading, GlMeta>| {
                 (*w.key, w.payloads().map(|p| p.1).sum::<i64>())
             },
-        ))
+        )
     }
 }
 
@@ -318,37 +319,26 @@ impl NodeStores {
 /// remote instances keyed `{group}[{shard}]`, so `GET /metrics` on the node
 /// shows the live counters of everything it hosts.
 ///
-/// # Errors
-/// Fails on a malformed handshake or socket setup. A shard engine failing
-/// mid-deployment (e.g. its links severed) is *not* an error here: the failure
-/// already propagated to the origin through the closed links, the node stays
-/// up, and the failed shard's report is simply absent from the result.
-pub fn serve_node_connection(
-    stream: TcpStream,
-    registry: &Arc<MetricsRegistry>,
-    network: NetworkConfig,
-) -> io::Result<Vec<QueryReport>> {
-    serve_node_connection_with_state(stream, registry, network, None, &NodeStores::new())
-}
-
-/// [`serve_node_connection`] with a checkpoint-state directory: when the
-/// deployment asks for checkpointing and `state_dir` is set, every hosted
-/// engine commits its window state — provenance included, byte-encoded through
-/// [`GlWindowPersister`] — into a [`DurableBackend`] at
+/// When the deployment asks for checkpointing and `state_dir` is set, every
+/// hosted engine commits its window state — provenance included, byte-encoded
+/// through [`GlWindowPersister`] — into a [`DurableBackend`] at
 /// `state_dir/<group>` (incremental snapshots on), scoped per shard so a
-/// killed-and-restarted node re-joins from **its own disk**. A deployment
+/// killed-and-restarted node re-joins from **its own disk**; the store is
+/// registered on `stores` so a signal handler can flush it. A deployment
 /// carrying a `restore_epoch` restores the hosted engines to that
 /// origin-pinned cut before processing; a fresh deployment wipes the group's
-/// leftover state first.
-///
-/// Without a `state_dir` the engines fall back to per-deployment in-memory
-/// stores (barrier alignment still works; nothing survives the process — the
-/// analyzer's GL014 diagnostic flags this combination at the origin).
+/// leftover state first. Without a `state_dir` the engines fall back to
+/// per-deployment in-memory stores (barrier alignment still works; nothing
+/// survives the process — the analyzer's GL014 diagnostic flags this
+/// combination at the origin).
 ///
 /// # Errors
 /// Fails on a malformed handshake, socket setup, or an unopenable store
-/// directory (see [`serve_node_connection`] for what is *not* an error).
-pub fn serve_node_connection_with_state(
+/// directory. A shard engine failing mid-deployment (e.g. its links severed)
+/// is *not* an error here: the failure already propagated to the origin
+/// through the closed links, the node stays up, and the failed shard's report
+/// is simply absent from the result.
+pub fn serve_node_connection(
     stream: TcpStream,
     registry: &Arc<MetricsRegistry>,
     network: NetworkConfig,
@@ -362,6 +352,7 @@ pub fn serve_node_connection_with_state(
         ReadOutcome::Goodbye => return Ok(Vec::new()),
     };
     let deployment = NodeDeployment::from_bytes(&frame).map_err(invalid)?;
+    let window = deployment.op.window().map_err(invalid)?;
     write_frame(&mut stream, ACK)?;
 
     let durable = match (state_dir, deployment.checkpoint_interval) {
@@ -411,7 +402,7 @@ pub fn serve_node_connection_with_state(
         let config = QueryConfig::default()
             .with_fusion(deployment.fusion)
             .with_metrics(true);
-        let mut q = Query::with_config(gl, config);
+        let q = Query::with_config(gl, config);
         if let Some(interval) = deployment.checkpoint_interval {
             // Each hosted engine gets its own checkpoint store (its barrier
             // alignment is engine-local) over a shard-scoped view of the
@@ -432,36 +423,12 @@ pub fn serve_node_connection_with_state(
                     )),
             );
         }
-        let received: StreamRef<NodeReading, GlMeta> =
-            add_receive(&mut q, &format!("{group}.recv"), forward_rx);
-        let out = deployment
-            .op
-            .build(&mut q, group, received)
-            .map_err(invalid)?;
-        let (to_send, unfolded) = attach_unfolder(&mut q, &format!("{group}.su"), out);
-        add_send(
-            &mut q,
-            &format!("{group}.send"),
-            to_send,
-            back_txs[j].clone(),
-        );
-        let events = q.map_one(
-            &format!("{group}.su.events"),
-            unfolded,
-            |u: &UnfoldedTuple<NodeReading>| u.to_event::<NodeReading>().to_upstream(),
-        );
-        add_send(
-            &mut q,
-            &format!("{group}.send.prov"),
-            events,
-            back_txs[k + j].clone(),
-        );
-        let handle = q.deploy().map_err(runtime)?;
-        shippers.push(spawn_metrics_shipper(
-            handle.registry(),
-            back_txs[2 * k + j].clone(),
-            handle.completion(),
-        ));
+        let channels = [j, k + j, 2 * k + j].map(|channel| back_txs[channel].clone());
+        let (handle, shipper) = deploy_shard(group, q, forward_rx, channels, |q, input| {
+            deployment.op.build(q, group, input, window)
+        })
+        .map_err(runtime)?;
+        shippers.extend(shipper);
         // Mirror the engine's registry into the node's own, so the node's
         // control endpoint exposes what it hosts while it runs.
         let completion = handle.completion();
@@ -504,9 +471,11 @@ pub fn serve_node_connection_with_state(
 }
 
 /// Runs a node's accept loop: every connection is served to completion with
-/// [`serve_node_connection`], sequentially. `max_deployments` bounds how many
-/// connections are served before returning (`None` = forever) — the `--once`
-/// flag of the `spe-node` binary.
+/// [`serve_node_connection`], sequentially, persisting checkpointed
+/// deployments into `state_dir` (when set) and registering every opened store
+/// on `stores`. `max_deployments` bounds how many connections are served
+/// before returning (`None` = forever) — the `--once` flag of the `spe-node`
+/// binary.
 ///
 /// # Errors
 /// Fails if the listener breaks. Per-connection handshake errors are traced
@@ -516,36 +485,11 @@ pub fn run_node(
     registry: &Arc<MetricsRegistry>,
     network: NetworkConfig,
     max_deployments: Option<usize>,
-) -> io::Result<()> {
-    run_node_with_state(
-        listener,
-        registry,
-        network,
-        max_deployments,
-        None,
-        &NodeStores::new(),
-    )
-}
-
-/// [`run_node`] with a checkpoint-state directory: deployments that ask for
-/// checkpointing persist into `state_dir` (see
-/// [`serve_node_connection_with_state`]), and every opened store is registered
-/// on `stores` so the binary's SIGTERM handler can flush manifests.
-///
-/// # Errors
-/// Fails if the listener breaks; per-connection errors are traced and skipped.
-pub fn run_node_with_state(
-    listener: TcpListener,
-    registry: &Arc<MetricsRegistry>,
-    network: NetworkConfig,
-    max_deployments: Option<usize>,
     state_dir: Option<&Path>,
     stores: &NodeStores,
 ) -> io::Result<()> {
     for (served, stream) in listener.incoming().enumerate() {
-        match stream
-            .and_then(|s| serve_node_connection_with_state(s, registry, network, state_dir, stores))
-        {
+        match stream.and_then(|s| serve_node_connection(s, registry, network, state_dir, stores)) {
             Ok(_) => {}
             Err(err) => {
                 Tracer::global().emit("node-connection-failed", "spe-node", err.to_string());
@@ -582,7 +526,7 @@ fn client_error(err: impl std::fmt::Display) -> SpeError {
 }
 
 /// Dials the `spe-node` processes of a distributed GeneaLog shard group and
-/// returns the same [`GlShardGroup`] the in-process builders produce: the
+/// returns the same [`ShardGroup`] the in-process builder produces: the
 /// placements (in global shard order) for `place`/`sharded_aggregate_placed`,
 /// the group handle for metrics streaming, and the per-shard provenance links
 /// for [`logical_shard_provenance_sink`](crate::deployment::logical_shard_provenance_sink).
@@ -601,7 +545,7 @@ pub fn connect_gl_node_group(
     template: &NodeDeployment,
     nodes: &[(SocketAddr, Vec<u32>)],
     network: NetworkConfig,
-) -> Result<GlShardGroup<NodeReading, NodeReading>, SpeError> {
+) -> Result<ShardGroup<GeneaLog, NodeReading, NodeReading>, SpeError> {
     let total = template.total_shards as usize;
     let mut seen = vec![false; total];
     for (_, shards) in nodes {
@@ -683,7 +627,7 @@ pub fn connect_gl_node_group(
         }
     }
 
-    Ok(GlShardGroup {
+    Ok(ShardGroup {
         placements: placements
             .into_iter()
             .map(|p| p.expect("partition checked"))

@@ -18,8 +18,8 @@ use proptest::prelude::*;
 
 use genealog::prelude::*;
 use genealog_distributed::deployment::{
-    instances_dot, logical_shard_provenance_sink, remote_shard_group, remote_shard_group_gl_over,
-    ShardTransport, SimulatedTransport,
+    instances_dot, logical_shard_provenance_sink, remote_shard_group, ShardGroup, ShardTransport,
+    SimulatedTransport,
 };
 use genealog_distributed::{NetworkConfig, TcpLoopbackTransport};
 use genealog_spe::logical::LogicalPlan;
@@ -111,12 +111,13 @@ fn run_gl_remote_over(
     // Remote engines get fusion so the (optional) stateless stages inside a shard
     // collapse into one thread there — results must not change either way.
     let remote_config = QueryConfig::default().with_fusion(fused_stages);
-    let shards = remote_shard_group_gl_over::<Reading, Reading, _>(
+    let shards = remote_shard_group::<GeneaLog, Reading, Reading, _, _>(
         "sum",
         instances,
-        1, // remote instances use GeneaLog id namespaces 1..=instances
         transport,
         remote_config,
+        // Remote instances use GeneaLog id namespaces 1..=instances.
+        |i| GeneaLog::for_instance(1 + i as u32),
         move |rq, _i, input| {
             let staged = if fused_stages {
                 let kept = rq.filter("keep", input, |r: &Reading| r.1 % 3 != 0);
@@ -296,10 +297,12 @@ fn np_remote_shards_match_plain_aggregate() {
     assert!(!plain.is_empty());
 
     for instances in [1usize, 2, 4] {
-        let (placements, group) = remote_shard_group::<NoProvenance, Reading, Reading, _, _>(
+        let ShardGroup {
+            placements, group, ..
+        } = remote_shard_group::<NoProvenance, Reading, Reading, _, _>(
             "sum",
             instances,
-            NetworkConfig::unlimited(),
+            &SimulatedTransport::new(NetworkConfig::unlimited()),
             QueryConfig::default(),
             |_| NoProvenance,
             move |rq, _i, input| rq.aggregate("sum", input, spec, sum_key, agg),
@@ -356,16 +359,19 @@ fn mixed_local_and_remote_shards_are_equivalent() {
 
     // Shard 1 of 3 runs remotely, shards 0 and 2 stay local. The remote group is
     // built with a single instance whose shard index within the group is 1.
-    let (mut remote_placements, group) =
-        remote_shard_group::<NoProvenance, Reading, Reading, _, _>(
-            "sum",
-            1,
-            NetworkConfig::unlimited(),
-            QueryConfig::default(),
-            |_| NoProvenance,
-            move |rq, _i, input| rq.aggregate("sum", input, spec, sum_key, agg),
-        )
-        .unwrap();
+    let ShardGroup {
+        placements: mut remote_placements,
+        group,
+        ..
+    } = remote_shard_group::<NoProvenance, Reading, Reading, _, _>(
+        "sum",
+        1,
+        &SimulatedTransport::new(NetworkConfig::unlimited()),
+        QueryConfig::default(),
+        |_| NoProvenance,
+        move |rq, _i, input| rq.aggregate("sum", input, spec, sum_key, agg),
+    )
+    .unwrap();
     let placements = vec![
         ShardPlacement::Local,
         remote_placements.pop().expect("one remote placement"),
@@ -386,10 +392,12 @@ fn remote_shard_edges_share_the_edge_budget() {
     let spec = WindowSpec::tumbling(Duration::from_secs(4)).unwrap();
     let agg = |w: &WindowView<'_, Key, Reading, ()>| (*w.key, w.len() as i64);
     for n in [1usize, 2, 4] {
-        let (placements, group) = remote_shard_group::<NoProvenance, Reading, Reading, _, _>(
+        let ShardGroup {
+            placements, group, ..
+        } = remote_shard_group::<NoProvenance, Reading, Reading, _, _>(
             "agg",
             n,
-            NetworkConfig::unlimited(),
+            &SimulatedTransport::new(NetworkConfig::unlimited()),
             config,
             |_| NoProvenance,
             move |rq, _i, input| rq.aggregate("agg", input, spec, sum_key, agg),
@@ -442,10 +450,12 @@ fn remote_shard_edges_share_the_edge_budget() {
 fn distributed_shard_group_reports_fold_into_one_operator() {
     let spec = WindowSpec::tumbling(Duration::from_secs(10)).unwrap();
     let agg = |w: &WindowView<'_, Key, Reading, ()>| (*w.key, w.len() as i64);
-    let (placements, group) = remote_shard_group::<NoProvenance, Reading, Reading, _, _>(
+    let ShardGroup {
+        placements, group, ..
+    } = remote_shard_group::<NoProvenance, Reading, Reading, _, _>(
         "agg",
         3,
-        NetworkConfig::unlimited(),
+        &SimulatedTransport::new(NetworkConfig::unlimited()),
         QueryConfig::default(),
         |_| NoProvenance,
         move |rq, _i, input| rq.aggregate("agg", input, spec, sum_key, agg),

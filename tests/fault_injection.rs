@@ -24,8 +24,7 @@ use proptest::prelude::*;
 
 use genealog::prelude::*;
 use genealog_distributed::deployment::{
-    logical_shard_provenance_sink, remote_shard_group_gl_with_faults,
-    remote_shard_group_gl_with_faults_over,
+    logical_shard_provenance_sink, remote_shard_group, SimulatedTransport,
 };
 use genealog_distributed::{FaultPlan, LinkFaults, NetworkConfig, OneShot, TcpLoopbackTransport};
 use genealog_spe::operator::aggregate::WindowView;
@@ -190,19 +189,19 @@ fn run_remote(
             let link_faults = fault.link_faults_for_attempt(attempt);
             let store_remote = Arc::clone(&store);
             let remote_systems = remote_systems.clone();
-            let shards = remote_shard_group_gl_with_faults::<Reading, Reading, _, _, _>(
+            let transport = SimulatedTransport::new(network).with_data_faults(move |i| {
+                if i == 0 {
+                    link_faults.clone()
+                } else {
+                    LinkFaults::none()
+                }
+            });
+            let shards = remote_shard_group::<GeneaLog, Reading, Reading, _, _>(
                 "sum",
                 instances,
-                move |i| remote_systems[i].clone(),
-                network,
+                &transport,
                 QueryConfig::default(),
-                move |i| {
-                    if i == 0 {
-                        link_faults.clone()
-                    } else {
-                        LinkFaults::none()
-                    }
-                },
+                move |i| remote_systems[i].clone(),
                 move |rq, i, input| {
                     // Every remote engine joins the deployment-global checkpoint
                     // protocol; shard operators need per-instance participant
@@ -299,13 +298,12 @@ fn run_remote_tcp(
             }
             let store_remote = Arc::clone(&store);
             let remote_systems = remote_systems.clone();
-            let shards = remote_shard_group_gl_with_faults_over::<Reading, Reading, _, _, _>(
+            let shards = remote_shard_group::<GeneaLog, Reading, Reading, _, _>(
                 "sum",
                 instances,
-                move |i| remote_systems[i].clone(),
                 &transport,
                 QueryConfig::default(),
-                |_| LinkFaults::none(),
+                move |i| remote_systems[i].clone(),
                 move |rq, i, input| {
                     rq.set_checkpoints(CheckpointConfig::new(INTERVAL, Arc::clone(&store_remote)));
                     rq.aggregate(

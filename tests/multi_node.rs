@@ -21,7 +21,8 @@ use std::time::Instant;
 use genealog::prelude::*;
 use genealog_distributed::deployment::logical_shard_provenance_sink;
 use genealog_distributed::{
-    connect_gl_node_group, run_node, NetworkConfig, NodeDeployment, NodeReading, ShardOpSpec,
+    connect_gl_node_group, run_node, NetworkConfig, NodeDeployment, NodeReading, NodeStores,
+    ShardOpSpec,
 };
 use genealog_metrics::MetricsRegistry;
 use genealog_spe::operator::aggregate::WindowView;
@@ -132,6 +133,8 @@ fn spawn_node() -> Node {
             &node_registry,
             NetworkConfig::unlimited(),
             Some(1),
+            None,
+            &NodeStores::new(),
         )
     });
     Node {
