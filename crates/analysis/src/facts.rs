@@ -23,8 +23,6 @@ pub struct PlanFacts {
     /// Whether the configured checkpoint store writes to a durable backend
     /// (`Some(false)` = volatile in-memory store, `None` = no checkpointing).
     pub checkpoint_durable: Option<bool>,
-    /// Whether the plan publishes into a live metrics registry.
-    pub metrics: bool,
     /// Number of CPUs of the host the plan will deploy on.
     pub host_cpus: usize,
     /// Number of operator threads the plan spawns (fused chains count once).
@@ -134,7 +132,6 @@ mod tests {
             fusion: true,
             checkpoint_interval: None,
             checkpoint_durable: None,
-            metrics: true,
             host_cpus: 4,
             threads: 2,
             provenance_collectors: 0,

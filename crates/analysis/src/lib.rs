@@ -28,7 +28,7 @@
 //! | GL031 | warning | resources | operator threads oversubscribe the host CPUs |
 //! | GL032 | warning | resources | `.with(..)` shard hint overridden by a different `.place(..)` |
 //! | GL033 | warning | resources | metrics label cardinality exceeds the series budget |
-//! | GL034 | warning | resources | remote Send/Receive endpoints with live metrics disabled |
+//! | GL034 | — | — | retired: live metrics are always on, so its trigger cannot occur (never reuse) |
 //!
 //! The [`source`] module is the second half of the `spe-lint` binary: textual
 //! checks over the workspace sources (no direct stdout/stderr printing in engine

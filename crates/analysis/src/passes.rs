@@ -43,10 +43,6 @@ pub const CPU_OVERSUBSCRIPTION: &str = "GL031";
 pub const PLACEMENT_OVERRIDES_HINT: &str = "GL032";
 /// GL033: the lowered plan registers more metric series than the per-plan budget.
 pub const METRICS_CARDINALITY: &str = "GL033";
-/// GL034: the plan ships tuples across instance boundaries but runs with live
-/// metrics disabled, so link-health counters (dropped frames, remote registry
-/// deltas) are invisible at the origin.
-pub const REMOTE_WITHOUT_METRICS: &str = "GL034";
 
 /// Metric-series budget above which GL033 fires: beyond this, per-edge label
 /// cardinality dominates scrape cost and registry memory.
@@ -393,7 +389,7 @@ pub fn check_provenance(facts: &PlanFacts, diags: &mut Diagnostics) {
     }
 }
 
-/// Resource-sanity analysis (GL031, GL032, GL033, GL034).
+/// Resource-sanity analysis (GL031, GL032, GL033).
 pub fn check_resources(facts: &PlanFacts, diags: &mut Diagnostics) {
     if facts.threads > facts.host_cpus {
         diags.push(Diagnostic::warning(
@@ -426,51 +422,28 @@ pub fn check_resources(facts: &PlanFacts, diags: &mut Diagnostics) {
             }
         }
     }
-    if !facts.metrics {
-        let remote: Vec<String> = facts
-            .nodes
-            .iter()
-            .filter(|n| n.remote)
-            .map(|n| n.name.clone())
-            .collect();
-        if !remote.is_empty() {
-            let listed = remote.join("`, `");
-            diags.push(Diagnostic::warning(
-                REMOTE_WITHOUT_METRICS,
-                remote,
-                format!(
-                    "the plan crosses instance boundaries at `{listed}` but runs \
-                     with `with_metrics(false)`: link drop counters and \
-                     remote-instance registry deltas are silently discarded — \
-                     enable live metrics or accept blind links"
-                ),
-            ));
-        }
-    }
-    if facts.metrics {
-        let channel_edges = facts.edges.iter().filter(|e| !e.fused).count();
-        let logical_operators: HashSet<&str> = facts
-            .nodes
-            .iter()
-            .map(|n| n.group.as_deref().unwrap_or(n.name.as_str()))
-            .collect();
-        // Two series per channel (stall counter + depth gauge) and two per
-        // logical operator (tuples in/out); constant-cardinality series ignored.
-        let series = 2 * channel_edges + 2 * logical_operators.len();
-        if series > METRICS_SERIES_BUDGET {
-            diags.push(Diagnostic::warning(
-                METRICS_CARDINALITY,
-                Vec::new(),
-                format!(
-                    "the lowered plan registers ~{series} metric series \
-                     ({channel_edges} channels, {} logical operators), above the \
-                     {METRICS_SERIES_BUDGET}-series budget; per-edge label \
-                     cardinality dominates scrape cost — reduce fan-out or disable \
-                     live metrics with `with_metrics(false)`",
-                    logical_operators.len()
-                ),
-            ));
-        }
+    let channel_edges = facts.edges.iter().filter(|e| !e.fused).count();
+    let logical_operators: HashSet<&str> = facts
+        .nodes
+        .iter()
+        .map(|n| n.group.as_deref().unwrap_or(n.name.as_str()))
+        .collect();
+    // Two series per channel (stall counter + depth gauge) and two per
+    // logical operator (tuples in/out); constant-cardinality series ignored.
+    let series = 2 * channel_edges + 2 * logical_operators.len();
+    if series > METRICS_SERIES_BUDGET {
+        diags.push(Diagnostic::warning(
+            METRICS_CARDINALITY,
+            Vec::new(),
+            format!(
+                "the lowered plan registers ~{series} metric series \
+                 ({channel_edges} channels, {} logical operators), above the \
+                 {METRICS_SERIES_BUDGET}-series budget; per-edge label \
+                 cardinality dominates scrape cost — reduce fan-out, fuse \
+                 stateless chains or place shards remotely",
+                logical_operators.len()
+            ),
+        ));
     }
 }
 
@@ -506,7 +479,6 @@ mod tests {
             fusion: true,
             checkpoint_interval: None,
             checkpoint_durable: None,
-            metrics: true,
             host_cpus: 1024,
             threads: nodes.len(),
             provenance_collectors: 0,
@@ -753,42 +725,8 @@ mod tests {
             nodes.push(node(&format!("op{i}"), "filter"));
             edges.push(edge(0, i + 1));
         }
-        let mut facts = base(nodes, edges);
+        let facts = base(nodes, edges);
         let report = run(&facts);
         assert!(report.has_code(METRICS_CARDINALITY));
-        facts.metrics = false;
-        assert!(!run(&facts).has_code(METRICS_CARDINALITY));
-    }
-
-    #[test]
-    fn gl034_flags_blind_remote_links() {
-        let mut send = node("sum.send", "send");
-        send.remote = true;
-        let mut facts = base(
-            vec![node("src", "source"), send, node("out", "sink")],
-            vec![edge(0, 1), edge(1, 2)],
-        );
-        facts.metrics = false;
-        let report = run(&facts);
-        let d = report
-            .with_code(REMOTE_WITHOUT_METRICS)
-            .next()
-            .expect("GL034");
-        assert_eq!(d.severity, crate::Severity::Warning);
-        assert_eq!(d.path, vec!["sum.send".to_string()]);
-        assert!(d.message.contains("with_metrics(false)"));
-        // With live metrics the same plan is quiet.
-        facts.metrics = true;
-        assert!(!run(&facts).has_code(REMOTE_WITHOUT_METRICS));
-    }
-
-    #[test]
-    fn gl034_ignores_purely_local_plans() {
-        let mut facts = base(
-            vec![node("src", "source"), node("out", "sink")],
-            vec![edge(0, 1)],
-        );
-        facts.metrics = false;
-        assert!(!run(&facts).has_code(REMOTE_WITHOUT_METRICS));
     }
 }

@@ -18,8 +18,9 @@ use genealog_baseline::{AriadneBaseline, BlMeta};
 use genealog_distributed::wire::{WireDecode, WireEncode};
 use genealog_spe::operator::source::{SourceConfig, VecSource};
 use genealog_spe::provenance::{NoProvenance, ProvenanceSystem, SourceContext};
-use genealog_spe::query::{Query, QueryConfig};
+use genealog_spe::query::Query;
 use genealog_spe::tuple::GTuple;
+use genealog_spe::PlannerConfig;
 use genealog_spe::Timestamp;
 use genealog_workloads::types::PositionReport;
 
@@ -161,7 +162,10 @@ fn bench_wire(c: &mut Criterion) {
 fn run_np_pipeline(tuples: i64, batch_size: usize) -> u64 {
     let mut q = Query::with_config(
         NoProvenance,
-        QueryConfig::default().with_batch_size(batch_size),
+        // Unfused: the comparison prices the channel hop between filter and map.
+        PlannerConfig::default()
+            .with_batch_size(batch_size)
+            .with_fusion(false),
     );
     let src = q.source_with(
         "numbers",

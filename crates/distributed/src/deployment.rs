@@ -26,10 +26,10 @@ use genealog_spe::logical::{LogicalPlan, LogicalStream};
 use genealog_spe::operator::sink::{CollectedStream, SinkStats};
 use genealog_spe::operator::source::{SourceConfig, SourceGenerator};
 use genealog_spe::provenance::{NoProvenance, ProvenanceSystem};
-use genealog_spe::query::{NodeId, NodeKind, Query, QueryConfig, ShardPlacement, StreamRef};
+use genealog_spe::query::{NodeId, NodeKind, Query, ShardPlacement, StreamRef};
 use genealog_spe::runtime::{QueryCompletion, QueryHandle, QueryReport};
 use genealog_spe::tuple::TupleData;
-use genealog_spe::{Duration, SpeError, Timestamp};
+use genealog_spe::{Duration, PlannerConfig, SpeError, Timestamp};
 
 use genealog::{
     attach_multi_unfolder, attach_unfolder, GeneaLog, GlMeta, SourceRecord, UnfoldedEvent,
@@ -444,8 +444,9 @@ impl RemoteShardGroup {
 /// A distributed shard group, as built by [`remote_shard_group`] or
 /// [`connect_gl_node_group`](crate::node::connect_gl_node_group).
 pub struct ShardGroup<P: ProvenanceSystem, I, O> {
-    /// Placements splicing the shards into the originating query (`place(..)` /
-    /// `Query::sharded_aggregate_placed`), in shard order.
+    /// Placements splicing the shards into the originating query
+    /// ([`LogicalStream::place`](genealog_spe::logical::LogicalStream::place)), in
+    /// shard order.
     pub placements: Vec<ShardPlacement<P, I, O>>,
     /// The remote instances and link counters.
     pub group: RemoteShardGroup,
@@ -492,16 +493,16 @@ where
 /// Builds and deploys the engine of one remote shard on `remote`:
 /// `{name}.recv` from `forward_rx`, then the plan built by `build`, then
 /// [`WireProvenance::send_shard_output`] onto the data and provenance channels;
-/// a metrics shipper streams the engine's registry onto `metrics_tx` when it is
-/// enabled. [`remote_shard_group`] and the `spe-node` worker both host their
-/// shards through this one function.
+/// a metrics shipper streams the engine's registry onto `metrics_tx`.
+/// [`remote_shard_group`] and the `spe-node` worker both host their shards
+/// through this one function.
 pub(crate) fn deploy_shard<P, I, O, R, S>(
     name: &str,
     mut remote: Query<P>,
     forward_rx: R,
     [data_tx, provenance_tx, metrics_tx]: [S; 3],
     build: impl FnOnce(&mut Query<P>, StreamRef<I, P::Meta>) -> StreamRef<O, P::Meta>,
-) -> Result<(QueryHandle, Option<MetricsShipper>), SpeError>
+) -> Result<(QueryHandle, MetricsShipper), SpeError>
 where
     P: WireProvenance,
     I: TupleData + WireEncode + WireDecode,
@@ -513,10 +514,7 @@ where
     let out = build(&mut remote, received);
     P::send_shard_output::<I, O, _, _>(&mut remote, name, out, data_tx, provenance_tx);
     let handle = remote.deploy()?;
-    let shipper = handle
-        .registry()
-        .is_enabled()
-        .then(|| spawn_metrics_shipper(handle.registry(), metrics_tx, handle.completion()));
+    let shipper = spawn_metrics_shipper(handle.registry(), metrics_tx, handle.completion());
     Ok((handle, shipper))
 }
 
@@ -559,7 +557,7 @@ pub fn remote_shard_group<P, I, O, PF, B>(
     name: &str,
     instances: usize,
     transport: &dyn ShardTransport,
-    config: QueryConfig,
+    config: PlannerConfig,
     systems: PF,
     build: B,
 ) -> Result<ShardGroup<P, I, O>, SpeError>
@@ -582,13 +580,13 @@ where
         let [data_rx, provenance_rx, metrics_rx] = three_channels(wiring.back_rxs);
         let (handle, shipper) = deploy_shard(
             name,
-            Query::with_config(systems(i), config),
+            Query::with_config(systems(i), config.clone()),
             wiring.forward_rx,
             three_channels(wiring.back_txs),
             |q, input| build(q, i, input),
         )?;
         handles.push(handle);
-        shippers.extend(shipper);
+        shippers.push(shipper);
         placements.push(splice_remote_shard(
             name,
             instances,

@@ -28,7 +28,7 @@
 //! origin's Receive operators surface as a mid-stream close — the
 //! `run_with_recovery` path, exactly like a simulated sever.
 
-use std::io;
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::Arc;
@@ -37,10 +37,10 @@ use std::time::Duration;
 use genealog::{GeneaLog, GlMeta, GlWindowPersister};
 use genealog_metrics::{decode_samples, MetricsRegistry, Tracer};
 use genealog_spe::operator::aggregate::WindowView;
-use genealog_spe::query::{Query, QueryConfig, StreamRef};
+use genealog_spe::query::{Query, StreamRef};
 use genealog_spe::runtime::QueryReport;
 use genealog_spe::state::{CheckpointConfig, CheckpointStore, InMemoryBackend, StateBackend};
-use genealog_spe::{SpeError, WindowSpec};
+use genealog_spe::{PlannerConfig, SpeError, WindowSpec};
 use genealog_store::{DurableBackend, ScopedBackend, StoreOptions};
 use parking_lot::Mutex;
 
@@ -382,6 +382,7 @@ pub fn serve_node_connection(
     };
 
     let k = deployment.shards.len();
+    let closing = stream.try_clone()?;
     let (tx, _tx_stats) = TcpSender::from_stream(stream.try_clone()?, None, network);
     let rx = TcpReceiver::from_stream(stream, None, network);
     let recv_stats = Arc::new(LinkStats::default());
@@ -399,10 +400,7 @@ pub fn serve_node_connection(
         let global = deployment.shards[j];
         let group = deployment.group.as_str();
         let gl = GeneaLog::for_instance(deployment.first_instance + global);
-        let config = QueryConfig::default()
-            .with_fusion(deployment.fusion)
-            .with_metrics(true);
-        let q = Query::with_config(gl, config);
+        let mut config = PlannerConfig::default().with_fusion(deployment.fusion);
         if let Some(interval) = deployment.checkpoint_interval {
             // Each hosted engine gets its own checkpoint store (its barrier
             // alignment is engine-local) over a shard-scoped view of the
@@ -416,19 +414,20 @@ pub fn serve_node_connection(
             if let Some(epoch) = deployment.restore_epoch {
                 store.restore_to(epoch);
             }
-            q.set_checkpoints(
+            config = config.with_checkpoints(
                 CheckpointConfig::new(interval, store)
                     .with_window_persister::<u32, NodeReading, GlMeta>(Arc::new(
                         GlWindowPersister::<u32, NodeReading, NodeReading>::new(),
                     )),
             );
         }
+        let q = Query::with_config(gl, config);
         let channels = [j, k + j, 2 * k + j].map(|channel| back_txs[channel].clone());
         let (handle, shipper) = deploy_shard(group, q, forward_rx, channels, |q, input| {
             deployment.op.build(q, group, input, window)
         })
         .map_err(runtime)?;
-        shippers.extend(shipper);
+        shippers.push(shipper);
         // Mirror the engine's registry into the node's own, so the node's
         // control endpoint exposes what it hosts while it runs.
         let completion = handle.completion();
@@ -467,7 +466,25 @@ pub fn serve_node_connection(
     for mirror in mirrors {
         let _ = mirror.join();
     }
+    // Every sender is gone, so the goodbye is written. Read the client's side
+    // to its end before closing: a socket closed with unread bytes (the
+    // client's goodbye, which no shard pulls once its stream has ended) is
+    // reset, and the reset discards frames this side has not yet transmitted —
+    // the last provenance and metrics frames of the deployment.
+    drain_to_end(closing);
     Ok(reports)
+}
+
+/// How long a node waits for a client to close its side of a connection.
+const CLOSE_PATIENCE: Duration = Duration::from_secs(5);
+
+/// Reads and discards until the peer closes its side (or [`CLOSE_PATIENCE`]
+/// passes), so that dropping `stream` afterwards closes the connection
+/// gracefully instead of resetting it.
+fn drain_to_end(mut stream: TcpStream) {
+    let _ = stream.set_read_timeout(Some(CLOSE_PATIENCE));
+    let mut scratch = [0u8; 4096];
+    while matches!(stream.read(&mut scratch), Ok(n) if n > 0) {}
 }
 
 /// Runs a node's accept loop: every connection is served to completion with
@@ -527,7 +544,7 @@ fn client_error(err: impl std::fmt::Display) -> SpeError {
 
 /// Dials the `spe-node` processes of a distributed GeneaLog shard group and
 /// returns the same [`ShardGroup`] the in-process builder produces: the
-/// placements (in global shard order) for `place`/`sharded_aggregate_placed`,
+/// placements (in global shard order) for `place`,
 /// the group handle for metrics streaming, and the per-shard provenance links
 /// for [`logical_shard_provenance_sink`](crate::deployment::logical_shard_provenance_sink).
 ///

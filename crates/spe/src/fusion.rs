@@ -23,8 +23,8 @@
 //! to reason about fan-out (fan-out is an explicit Multiplex, which is a fusion
 //! boundary).
 //!
-//! Fusion composes with sharding: the per-shard streams of a
-//! [`partition`](crate::query::Query::partition) are ordinary streams, so the
+//! Fusion composes with sharding: the per-shard streams of the shuffle exchange
+//! ([`crate::parallel`]) are ordinary streams, so the
 //! per-shard stateless stages the planner lowers into an open shard region fuse
 //! *within* each shard — never across the exchange or the merge fan-in, which
 //! are multi-stream operators and therefore natural boundaries.

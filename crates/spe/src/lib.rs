@@ -71,11 +71,11 @@ pub mod prelude {
     pub use crate::parallel::Parallelism;
     pub use crate::planner::{AnalysisMode, PlannerConfig};
     pub use crate::provenance::{MetaData, NoProvenance, ProvenanceSystem};
-    pub use crate::query::{Query, QueryConfig, StreamRef};
+    pub use crate::query::{Query, StreamRef};
     pub use crate::runtime::{QueryHandle, QueryReport};
     pub use crate::state::{
         run_with_recovery, CheckpointConfig, CheckpointStore, InMemoryBackend, RecoveryConfig,
-        SerializingBackend, Snapshot, StateBackend,
+        Snapshot, StateBackend,
     };
     pub use crate::time::{Duration, Timestamp};
     pub use crate::tuple::{Element, GTuple, TupleData, TupleId};
@@ -88,11 +88,11 @@ pub use logical::{Analyzed, LogicalPlan, LogicalStream};
 pub use parallel::Parallelism;
 pub use planner::{AnalysisMode, PlannerConfig};
 pub use provenance::{NoProvenance, ProvenanceSystem};
-pub use query::{Query, QueryConfig, StreamRef};
+pub use query::{Query, StreamRef};
 pub use runtime::{QueryHandle, QueryReport};
 pub use state::{
     run_with_recovery, CheckpointConfig, CheckpointHandle, CheckpointStore, InMemoryBackend,
-    RecoveryConfig, SerializingBackend, Snapshot, StateBackend,
+    RecoveryConfig, Snapshot, StateBackend,
 };
 pub use time::{Duration, Timestamp};
 pub use tuple::{Element, GTuple, TupleData, TupleId};

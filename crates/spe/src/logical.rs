@@ -9,8 +9,7 @@
 //! time.
 //!
 //! Users therefore write each operator **exactly once** and attach optimizer hints
-//! as annotations, instead of picking between `aggregate` / `sharded_aggregate` /
-//! `sharded_aggregate_placed` variants:
+//! as annotations; the planner is the one way to shard an operator:
 //!
 //! ```rust
 //! use genealog_spe::logical::LogicalPlan;
@@ -375,10 +374,7 @@ impl<P: ProvenanceSystem> LogicalPlan<P> {
                     .collect(),
             }
         };
-        let mut q = Query::with_config(provenance, config.query_config());
-        if let Some(checkpoints) = config.checkpoints {
-            q.set_checkpoints(checkpoints);
-        }
+        let mut q = Query::with_config(provenance, config);
         for sink in sinks {
             sink(&mut q);
         }
@@ -1026,7 +1022,7 @@ mod tests {
     use super::*;
     use crate::operator::source::VecSource;
     use crate::provenance::NoProvenance;
-    use crate::query::{NodeKind, QueryConfig};
+    use crate::query::NodeKind;
 
     type Reading = (u32, i64);
 
@@ -1411,10 +1407,10 @@ mod tests {
             .source("src", VecSource::with_period(vec![1i64], 1))
             .collecting_sink("sink");
         let q = plan.lower().unwrap();
-        let qc: QueryConfig = q.config();
-        assert_eq!(qc.batch.size, 16);
-        assert_eq!(qc.channel_capacity, 256);
-        assert!(qc.fusion, "planner default turns fusion on");
+        assert_eq!(q.batch_config().size, 16);
+        let facts = q.plan_facts();
+        assert_eq!(facts.channel_capacity, 256);
+        assert!(facts.fusion, "planner default turns fusion on");
     }
 
     #[test]

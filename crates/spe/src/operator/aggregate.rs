@@ -145,6 +145,10 @@ where
         self.metrics = metrics;
     }
 
+    fn checkpoint_participant(&self) -> Option<&str> {
+        self.checkpoints.get().map(|_| self.name.as_str())
+    }
+
     fn run(mut self: Box<Self>) -> Result<OperatorStats, SpeError> {
         let mut out = self.output.open();
         let counters = self.metrics.handles(&self.name);
@@ -157,7 +161,6 @@ where
             .as_ref()
             .and_then(|c| c.window_persister::<K, I, P::Meta>());
         if let Some(ckpt) = &checkpoints {
-            ckpt.store.register(&self.name);
             let restored = ckpt.store.restore_snapshot(&self.name).and_then(|s| {
                 s.downcast::<WindowStoreSnapshot<K, I, P::Meta>>()
                     .or_else(|| {

@@ -179,12 +179,15 @@ where
         self.metrics = metrics;
     }
 
+    fn checkpoint_participant(&self) -> Option<&str> {
+        self.checkpoints.get().map(|_| self.name.as_str())
+    }
+
     fn run(mut self: Box<Self>) -> Result<OperatorStats, SpeError> {
         let mut out = self.output.open();
         let counters = self.metrics.handles(&self.name);
         let checkpoints = self.checkpoints.get().cloned();
         if let Some(ckpt) = &checkpoints {
-            ckpt.store.register(&self.name);
             if let Some(snapshot) = ckpt
                 .store
                 .restore_snapshot(&self.name)

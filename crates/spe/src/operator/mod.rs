@@ -61,7 +61,7 @@ impl OperatorStats {
 ///
 /// The stateless operators (Filter, Map and the meta-aware Map) are expressed as
 /// stages: a stage receives one input tuple and hands zero or more output tuples to
-/// `emit`. When fusion is enabled ([`QueryConfig::fusion`](crate::query::QueryConfig))
+/// `emit`. When fusion is enabled ([`PlannerConfig::fusion`](crate::planner::PlannerConfig))
 /// the query builder chains consecutive stages so that a tuple flows through all of
 /// them in a single call stack — no intermediate channel, batch buffer or thread
 /// hand-off. When fusion is disabled every stage still runs through the same driver,
@@ -105,6 +105,14 @@ pub trait Operator: Send {
     /// the default ignores the cell (the operator then only reports through the
     /// [`OperatorStats`] it returns from [`run`](Operator::run)).
     fn set_metrics(&mut self, _metrics: crate::metrics::OpMetrics) {}
+
+    /// The name the operator commits checkpoint snapshots under, when it takes
+    /// part in checkpointing. The runtime registers every participant with the
+    /// store before it starts any operator thread, so no epoch can complete
+    /// while a participant has yet to register. The default takes no part.
+    fn checkpoint_participant(&self) -> Option<&str> {
+        None
+    }
 }
 
 /// Process-wide monotonic clock anchor used for stimulus/latency measurement.

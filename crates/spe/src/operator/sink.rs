@@ -186,13 +186,16 @@ where
         self.metrics = metrics;
     }
 
+    fn checkpoint_participant(&self) -> Option<&str> {
+        self.checkpoints.get().map(|_| self.name.as_str())
+    }
+
     fn run(mut self: Box<Self>) -> Result<OperatorStats, SpeError> {
         let counters = self.metrics.handles(&self.name);
         // The live latency histogram (p50/p95/p99 of stimulus-to-sink time).
         let latency_histogram = counters.histogram("genealog_sink_latency_ns");
         let checkpoints = self.checkpoints.get().cloned();
         if let Some(ckpt) = &checkpoints {
-            ckpt.store.register(&self.name);
             if let Some(snapshot) = ckpt.store.restore_snapshot(&self.name) {
                 if let (Some(collected), Some(prefix)) = (
                     &self.collected,

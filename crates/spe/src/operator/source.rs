@@ -160,6 +160,10 @@ impl<G: SourceGenerator, P: ProvenanceSystem> Operator for SourceOp<G, P> {
         self.metrics = metrics;
     }
 
+    fn checkpoint_participant(&self) -> Option<&str> {
+        self.checkpoints.get().map(|_| self.name.as_str())
+    }
+
     fn run(mut self: Box<Self>) -> Result<OperatorStats, SpeError> {
         let mut out = self.output.open();
         let counters = self.metrics.handles(&self.name);
@@ -172,7 +176,6 @@ impl<G: SourceGenerator, P: ProvenanceSystem> Operator for SourceOp<G, P> {
 
         let checkpoints = self.checkpoints.get().cloned();
         if let Some(ckpt) = &checkpoints {
-            ckpt.store.register(&self.name);
             if let Some(offset) = ckpt
                 .store
                 .restore_snapshot(&self.name)

@@ -3,11 +3,13 @@
 //!
 //! The paper's evaluation runs each query as a single chain of operator threads, which
 //! caps throughput at one core per operator. This module adds the next scaling axis:
-//! a keyed stream is split by a **shuffle exchange** ([`PartitionOp`], a deterministic
-//! hash partitioner writing to one stream channel per shard), each shard runs its own
+//! a keyed stream is split by a **shuffle exchange** (a deterministic hash
+//! partitioner writing to one stream channel per shard), each shard runs its own
 //! instance of a stateful operator (Aggregate or Join) with private windows and state,
-//! and the shard outputs are reunified by a **canonicalising fan-in**
-//! ([`KeyedMergeOp`]) built on [`DeterministicMerge`].
+//! and the shard outputs are reunified by a **canonicalising fan-in** built on
+//! [`DeterministicMerge`]. The planner is the one way to build them: annotate an
+//! aggregate or join of a [`LogicalPlan`](crate::logical::LogicalPlan) with
+//! [`Parallelism::shards`] or explicit placements (see [`crate::planner`]).
 //!
 //! # Why this is provenance-safe
 //!
@@ -28,39 +30,9 @@
 //!
 //! The canonical order matters: [`DeterministicMerge`] alone breaks timestamp ties by
 //! input index, which would interleave equal-timestamp windows of different keys
-//! differently for different shard counts. [`KeyedMergeOp`] therefore buffers each
+//! differently for different shard counts. The fan-in therefore buffers each
 //! equal-timestamp run and stable-sorts it by the operator's group key before
 //! releasing it.
-//!
-//! # Example
-//!
-//! ```rust
-//! use genealog_spe::parallel::Parallelism;
-//! use genealog_spe::prelude::*;
-//! use genealog_spe::operator::aggregate::WindowView;
-//!
-//! # fn main() -> Result<(), SpeError> {
-//! let mut q = Query::new(NoProvenance);
-//! let readings = q.source(
-//!     "meters",
-//!     VecSource::with_period((0..100u32).map(|i| (i % 8, i as i64)).collect(), 1_000),
-//! );
-//! // Count readings per meter in 1-minute tumbling windows, on 4 parallel shards.
-//! let counts = q.sharded_aggregate(
-//!     "count",
-//!     readings,
-//!     WindowSpec::tumbling(Duration::from_secs(60))?,
-//!     |r: &(u32, i64)| r.0,
-//!     |w: &WindowView<'_, u32, (u32, i64), ()>| (*w.key, w.len() as i64),
-//!     |o: &(u32, i64)| o.0,
-//!     Parallelism::instances(4),
-//! );
-//! let out = q.collecting_sink("sink", counts);
-//! q.deploy()?.wait()?;
-//! assert!(!out.is_empty());
-//! # Ok(())
-//! # }
-//! ```
 
 use std::cmp::Ordering as CmpOrdering;
 use std::hash::{Hash, Hasher};
@@ -82,35 +54,31 @@ use crate::tuple::{Element, GTuple, TupleData};
 use crate::window::WindowSpec;
 
 /// Boxed key comparator ordering the payloads of an equal-timestamp run.
-pub type KeyComparator<T> = Box<dyn FnMut(&T, &T) -> CmpOrdering + Send>;
+pub(crate) type KeyComparator<T> = Box<dyn FnMut(&T, &T) -> CmpOrdering + Send>;
 
-/// Number of parallel instances a sharded operator runs with.
+/// Number of parallel instances a sharded operator runs with: the planner hint of
+/// [`LogicalStream::with`](crate::logical::LogicalStream::with).
 ///
-/// [`Parallelism::default()`] defers to the query-wide default
-/// ([`QueryConfig::parallelism`](crate::query::QueryConfig)); an explicit
-/// [`Parallelism::instances`] overrides it per operator.
+/// [`Parallelism::default()`] defers to the plan-wide default
+/// ([`PlannerConfig::parallelism`](crate::planner::PlannerConfig)); an explicit
+/// [`Parallelism::shards`] overrides it per operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Parallelism {
-    /// Explicit instance count; 0 means "use the query default".
+    /// Explicit instance count; 0 means "use the plan default".
     instances: usize,
 }
 
 impl Parallelism {
-    /// Runs the operator with exactly `n` parallel instances (clamped to at least 1,
-    /// so an explicit request never silently falls back to the query default).
-    pub const fn instances(n: usize) -> Self {
+    /// Runs the operator with exactly `n` parallel shards (clamped to at least 1,
+    /// so an explicit request never silently falls back to the plan default):
+    /// `.with(Parallelism::shards(4))`.
+    pub const fn shards(n: usize) -> Self {
         Parallelism {
             instances: if n == 0 { 1 } else { n },
         }
     }
 
-    /// Alias of [`Parallelism::instances`] reading naturally as a planner hint on a
-    /// [`LogicalStream`](crate::logical::LogicalStream): `.with(Parallelism::shards(4))`.
-    pub const fn shards(n: usize) -> Self {
-        Self::instances(n)
-    }
-
-    /// Resolves the effective instance count against the query-wide default.
+    /// Resolves the effective instance count against the plan-wide default.
     pub fn resolve(self, default: usize) -> usize {
         let n = if self.instances == 0 {
             default
@@ -126,7 +94,7 @@ impl Parallelism {
 /// The hasher is seeded with a fixed state, so the assignment is stable across runs
 /// and processes — a requirement for reproducible sharded execution (and for the
 /// byte-identical output guarantee of the shard-equivalence tests).
-pub fn shard_of<K: Hash + ?Sized>(key: &K, shards: usize) -> usize {
+pub(crate) fn shard_of<K: Hash + ?Sized>(key: &K, shards: usize) -> usize {
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     key.hash(&mut hasher);
     (hasher.finish() % shards.max(1) as u64) as usize
@@ -139,7 +107,7 @@ pub fn shard_of<K: Hash + ?Sized>(key: &K, shards: usize) -> usize {
 /// see the very tuples — and the very metadata — the single-instance plan would see.
 /// Watermarks and the end-of-stream marker are broadcast to every shard, which keeps
 /// each shard's window-closing schedule identical to the unsharded operator's.
-pub struct PartitionOp<T, M> {
+pub(crate) struct PartitionOp<T, M> {
     name: String,
     input: StreamReceiver<T, M>,
     outputs: Vec<OutputSlot<T, M>>,
@@ -255,7 +223,7 @@ where
 /// group key), not by a channel capacity — canonical ordering requires the whole run
 /// before it can be sorted. Extremely skewed workloads (e.g. a join producing
 /// quadratically many matches at a single timestamp) pay for that run in memory.
-pub struct KeyedMergeOp<T, M> {
+pub(crate) struct KeyedMergeOp<T, M> {
     name: String,
     inputs: Vec<StreamReceiver<T, M>>,
     output: OutputSlot<T, M>,
@@ -385,7 +353,7 @@ impl<P: ProvenanceSystem> Query<P> {
     ///
     /// # Panics
     /// Panics if `shards` is zero.
-    pub fn partition<T, K, KF>(
+    pub(crate) fn partition<T, K, KF>(
         &mut self,
         name: &str,
         input: StreamRef<T, P::Meta>,
@@ -418,28 +386,12 @@ impl<P: ProvenanceSystem> Query<P> {
     }
 
     /// Adds a provenance-safe fan-in over shard outputs: the merged stream is ordered
-    /// by `(timestamp, out_key, per-key emission order)`, independent of how many
-    /// shards produced it.
+    /// by timestamp, then by `cmp` on the payloads' group keys, then by per-key
+    /// emission order — independent of how many shards produced it.
     ///
     /// # Panics
     /// Panics if `inputs` is empty.
-    pub fn keyed_merge<T, K, OK>(
-        &mut self,
-        name: &str,
-        inputs: Vec<StreamRef<T, P::Meta>>,
-        out_key: OK,
-    ) -> StreamRef<T, P::Meta>
-    where
-        T: TupleData,
-        K: Ord,
-        OK: FnMut(&T) -> K + Send + 'static,
-    {
-        self.keyed_merge_cmp(name, inputs, crate::planner::merge_cmp(out_key))
-    }
-
-    /// [`Query::keyed_merge`] with an explicit run comparator instead of a key
-    /// extractor (the form the planner stores while a shard region is open).
-    pub(crate) fn keyed_merge_cmp<T>(
+    pub(crate) fn keyed_merge<T>(
         &mut self,
         name: &str,
         inputs: Vec<StreamRef<T, P::Meta>>,
@@ -461,51 +413,11 @@ impl<P: ProvenanceSystem> Query<P> {
         stream
     }
 
-    /// Adds a key-partitioned Aggregate running `parallelism` shard instances.
-    ///
-    /// Semantics are identical to [`Query::aggregate`]: a sliding window `spec` with
-    /// group-by `key_fn` and aggregation `agg_fn`. The stream is hash-partitioned on
-    /// the group key, each shard aggregates its keys with a private window store, and
-    /// the shard outputs are reunified in canonical `(timestamp, key)` order via
-    /// `out_key` (the group key re-extracted from an output payload). Output tuples,
-    /// their order, and their GeneaLog contribution graphs are identical for every
-    /// shard count.
-    #[allow(clippy::too_many_arguments)] // mirrors aggregate() plus the sharding knobs
-    pub fn sharded_aggregate<I, O, K, KF, AF, OK>(
-        &mut self,
-        name: &str,
-        input: StreamRef<I, P::Meta>,
-        spec: WindowSpec,
-        key_fn: KF,
-        agg_fn: AF,
-        out_key: OK,
-        parallelism: Parallelism,
-    ) -> StreamRef<O, P::Meta>
-    where
-        I: TupleData,
-        O: TupleData,
-        K: Ord + Hash + Clone + Send + Sync + 'static,
-        KF: FnMut(&I) -> K + Clone + Send + 'static,
-        AF: FnMut(&WindowView<'_, K, I, P::Meta>) -> O + Clone + Send + 'static,
-        OK: FnMut(&O) -> K + Send + 'static,
-    {
-        let instances = parallelism.resolve(self.config().parallelism);
-        let shards = self.shard_aggregate_streams(
-            name,
-            input,
-            spec,
-            key_fn,
-            agg_fn,
-            ShardPlacement::all_local(instances),
-        );
-        self.keyed_merge(&format!("{name}.merge"), shards, out_key)
-    }
-
     /// Lowering core of a placed sharded Aggregate: the exchange and the shard
     /// instances (local threads or remote splices), *without* the fan-in. The
-    /// returned shard streams carry the joint capacity share; the caller closes the
-    /// region with [`Query::keyed_merge`] / `keyed_merge_cmp` — immediately
-    /// ([`Query::sharded_aggregate`]) or after further per-shard stages (the planner).
+    /// returned shard streams carry the joint capacity share; the planner closes
+    /// the region with [`Query::keyed_merge`], possibly after further per-shard
+    /// stages.
     pub(crate) fn shard_aggregate_streams<I, O, K, KF, AF>(
         &mut self,
         name: &str,
@@ -565,56 +477,10 @@ impl<P: ProvenanceSystem> Query<P> {
         outs
     }
 
-    /// Adds a key-partitioned equi-key Join running `parallelism` shard instances.
-    ///
-    /// Both inputs are hash-partitioned on their key extractors (`left_key`,
-    /// `right_key`), so matching pairs always meet inside the same shard; `predicate`
-    /// further filters candidate pairs *within* a key — pairs whose keys differ never
-    /// meet, which is what makes the join shardable. Shard outputs are reunified in
-    /// canonical `(timestamp, out_key, per-key emission order)`.
-    #[allow(clippy::too_many_arguments)] // mirrors join() plus the sharding knobs
-    pub fn sharded_join<L, R, O, K, LK, RK, OK, PR, CF>(
-        &mut self,
-        name: &str,
-        left: StreamRef<L, P::Meta>,
-        right: StreamRef<R, P::Meta>,
-        window: Duration,
-        left_key: LK,
-        right_key: RK,
-        out_key: OK,
-        predicate: PR,
-        combine: CF,
-        parallelism: Parallelism,
-    ) -> StreamRef<O, P::Meta>
-    where
-        L: TupleData,
-        R: TupleData,
-        O: TupleData,
-        K: Ord + Hash + Clone + Send + 'static,
-        LK: FnMut(&L) -> K + Send + 'static,
-        RK: FnMut(&R) -> K + Send + 'static,
-        OK: FnMut(&O) -> K + Send + 'static,
-        PR: FnMut(&L, &R) -> bool + Clone + Send + 'static,
-        CF: FnMut(&L, &R) -> O + Clone + Send + 'static,
-    {
-        let instances = parallelism.resolve(self.config().parallelism);
-        let shards = self.shard_join_streams(
-            name,
-            left,
-            right,
-            window,
-            left_key,
-            right_key,
-            predicate,
-            combine,
-            JoinShardPlacement::all_local(instances),
-        );
-        self.keyed_merge(&format!("{name}.merge"), shards, out_key)
-    }
-
     /// Lowering core of a placed sharded Join (see
     /// [`Query::shard_aggregate_streams`]): both exchanges and the shard instances,
-    /// without the fan-in.
+    /// without the fan-in. Both inputs are hash-partitioned on their key
+    /// extractors, so matching pairs always meet inside the same shard.
     #[allow(clippy::too_many_arguments)] // the full join declaration in one place
     pub(crate) fn shard_join_streams<L, R, O, K, LK, RK, PR, CF>(
         &mut self,
@@ -685,7 +551,7 @@ impl<P: ProvenanceSystem> Query<P> {
     /// Each shard gets its own instance `name[i]` of the predicate; the instances
     /// form a shard group, so the runtime folds their statistics into one report and
     /// DOT exports annotate them with the shard count. Under
-    /// [`QueryConfig::fusion`](crate::query::QueryConfig) consecutive per-shard
+    /// [`PlannerConfig::fusion`](crate::planner::PlannerConfig) consecutive per-shard
     /// stateless stages fuse *within* each shard — never across the exchange or the
     /// fan-in, which are multi-stream fusion boundaries.
     pub(crate) fn filter_shard_streams<T, F>(
@@ -762,7 +628,9 @@ impl<P: ProvenanceSystem> Query<P> {
 mod tests {
     use super::*;
     use crate::channel::stream_channel;
+    use crate::logical::LogicalPlan;
     use crate::operator::source::VecSource;
+    use crate::planner::{merge_cmp, PlannerConfig};
     use crate::provenance::NoProvenance;
     use crate::time::Timestamp;
 
@@ -774,9 +642,9 @@ mod tests {
     fn parallelism_resolution() {
         assert_eq!(Parallelism::default().resolve(1), 1);
         assert_eq!(Parallelism::default().resolve(8), 8);
-        assert_eq!(Parallelism::instances(4).resolve(1), 4);
+        assert_eq!(Parallelism::shards(4).resolve(1), 4);
         // An explicit 0 clamps to one instance; it does NOT fall back to the default.
-        assert_eq!(Parallelism::instances(0).resolve(3), 1);
+        assert_eq!(Parallelism::shards(0).resolve(3), 1);
         assert_eq!(Parallelism::default().resolve(0), 1);
     }
 
@@ -934,80 +802,21 @@ mod tests {
     }
 
     #[test]
-    fn sharded_aggregate_matches_single_instance_aggregate() {
-        fn run(instances: usize) -> Vec<(u64, u32, i64)> {
-            let mut q = Query::new(NoProvenance);
-            let items: Vec<(u32, i64)> = (0..64).map(|i| (i % 8, i as i64)).collect();
-            let src = q.source("src", VecSource::with_period(items, 1_000));
-            let sums = q.sharded_aggregate(
-                "sum",
-                src,
-                WindowSpec::tumbling(Duration::from_secs(16)).unwrap(),
-                |t: &(u32, i64)| t.0,
-                |w: &WindowView<'_, u32, (u32, i64), ()>| {
-                    (*w.key, w.payloads().map(|p| p.1).sum::<i64>())
-                },
-                |o: &(u32, i64)| o.0,
-                Parallelism::instances(instances),
-            );
-            let out = q.collecting_sink("sink", sums);
-            q.deploy().unwrap().wait().unwrap();
-            out.tuples()
-                .iter()
-                .map(|t| (t.ts.as_secs(), t.data.0, t.data.1))
-                .collect()
-        }
-        let one = run(1);
-        let four = run(4);
-        assert!(!one.is_empty());
-        assert_eq!(one, four, "shard count must not change the output stream");
-    }
-
-    #[test]
-    fn sharded_join_matches_pairs_within_keys() {
-        let mut q = Query::new(NoProvenance);
-        let left_items: Vec<(u32, i64)> = (0..16).map(|i| (i % 4, i as i64)).collect();
-        let right_items: Vec<(u32, i64)> = (0..16).map(|i| (i % 4, 100 + i as i64)).collect();
-        let left = q.source("left", VecSource::with_period(left_items, 1_000));
-        let right = q.source("right", VecSource::with_period(right_items, 1_000));
-        let joined = q.sharded_join(
-            "match",
-            left,
-            right,
-            Duration::from_secs(2),
-            |l: &(u32, i64)| l.0,
-            |r: &(u32, i64)| r.0,
-            |o: &(u32, i64, i64)| o.0,
-            |l: &(u32, i64), r: &(u32, i64)| l.0 == r.0,
-            |l: &(u32, i64), r: &(u32, i64)| (l.0, l.1, r.1),
-            Parallelism::instances(3),
-        );
-        let out = q.collecting_sink("sink", joined);
-        q.deploy().unwrap().wait().unwrap();
-        assert!(!out.is_empty());
-        for t in out.tuples() {
-            // Combined pairs agree on the key: left value i pairs with right 100 + j
-            // where i ≡ j (mod 4).
-            assert_eq!(t.data.1 % 4, (t.data.2 - 100) % 4);
-        }
-    }
-
-    #[test]
     fn shard_group_reports_are_aggregated() {
-        let mut q = Query::new(NoProvenance);
+        let plan = LogicalPlan::new(NoProvenance);
         let items: Vec<(u32, i64)> = (0..40).map(|i| (i % 5, i as i64)).collect();
-        let src = q.source("src", VecSource::with_period(items, 1_000));
-        let counts = q.sharded_aggregate(
-            "agg",
-            src,
-            WindowSpec::tumbling(Duration::from_secs(10)).unwrap(),
-            |t: &(u32, i64)| t.0,
-            |w: &WindowView<'_, u32, (u32, i64), ()>| (*w.key, w.len() as i64),
-            |o: &(u32, i64)| o.0,
-            Parallelism::instances(4),
-        );
-        let out = q.collecting_sink("sink", counts);
-        let report = q.deploy().unwrap().wait().unwrap();
+        let out = plan
+            .source("src", VecSource::with_period(items, 1_000))
+            .aggregate(
+                "agg",
+                WindowSpec::tumbling(Duration::from_secs(10)).unwrap(),
+                |t: &(u32, i64)| t.0,
+                |w: &WindowView<'_, u32, (u32, i64), ()>| (*w.key, w.len() as i64),
+                |o: &(u32, i64)| o.0,
+            )
+            .with(Parallelism::shards(4))
+            .collecting_sink("sink");
+        let report = plan.deploy().unwrap().wait().unwrap();
         assert!(!out.is_empty());
         // The four shard threads appear as ONE report named after the logical
         // operator, with summed counters covering the whole input.
@@ -1030,63 +839,12 @@ mod tests {
     }
 
     #[test]
-    fn shard_channels_are_budgeted_jointly() {
-        use crate::query::QueryConfig;
-        // The configured per-edge element budget must not be multiplied by the
-        // exchange fan-out: the N partition channels (and the N shard-output
-        // channels feeding the fan-in) share it, each getting capacity/N rounded up
-        // to whole batches (floor one batch).
-        let config = QueryConfig::default(); // 1024 elements, batch 32
-        for n in [1usize, 2, 4] {
-            let mut q = Query::with_config(NoProvenance, config);
-            let items: Vec<(u32, i64)> = (0..8).map(|i| (i % 4, i as i64)).collect();
-            let src = q.source("src", VecSource::with_period(items, 1_000));
-            let counts = q.sharded_aggregate(
-                "agg",
-                src,
-                WindowSpec::tumbling(Duration::from_secs(4)).unwrap(),
-                |t: &(u32, i64)| t.0,
-                |w: &WindowView<'_, u32, (u32, i64), ()>| (*w.key, w.len() as i64),
-                |o: &(u32, i64)| o.0,
-                Parallelism::instances(n),
-            );
-            let _ = q.collecting_sink("sink", counts);
-
-            let kinds: Vec<NodeKind> = q.node_summaries().iter().map(|(_, k)| *k).collect();
-            let mut exchange_total = 0usize;
-            let mut fanin_total = 0usize;
-            for ((from, to), budget) in q.edges().iter().zip(q.edge_budgets()) {
-                if kinds[*from] == NodeKind::Partition {
-                    exchange_total += budget;
-                }
-                if kinds[*to] == NodeKind::ShardMerge {
-                    fanin_total += budget;
-                }
-            }
-            // 1024 divides evenly by 1, 2 and 4 shards into whole 32-element
-            // batches, so the joint headroom is exactly the configured capacity.
-            assert_eq!(
-                exchange_total, config.channel_capacity,
-                "{n}-shard exchange headroom must equal the configured capacity"
-            );
-            assert_eq!(
-                fanin_total, config.channel_capacity,
-                "{n}-shard fan-in headroom must equal the configured capacity"
-            );
-        }
-    }
-
-    #[test]
     fn shard_channel_budget_floors_at_one_batch() {
-        use crate::query::QueryConfig;
         // 8 shards sharing 100 elements with 32-element batches: each channel
         // floors at one whole batch rather than rounding down to zero.
         let mut q = Query::with_config(
             NoProvenance,
-            QueryConfig {
-                channel_capacity: 100,
-                ..QueryConfig::default()
-            },
+            PlannerConfig::default().with_channel_capacity(100),
         );
         let src = q.source(
             "src",
@@ -1106,19 +864,18 @@ mod tests {
 
     #[test]
     fn shard_local_stages_fuse_within_shards() {
-        use crate::query::QueryConfig;
         // partition -> per-shard filter -> per-shard map -> keyed merge: with fusion
         // the stateless stages collapse within each shard (never across the exchange
         // or the fan-in), and the output stream is identical to the unfused plan.
         let run = |fusion: bool| {
             let mut q =
-                Query::with_config(NoProvenance, QueryConfig::default().with_fusion(fusion));
+                Query::with_config(NoProvenance, PlannerConfig::default().with_fusion(fusion));
             let items: Vec<(u32, i64)> = (0..64).map(|i| (i % 8, i as i64)).collect();
             let src = q.source("src", VecSource::with_period(items, 1_000));
             let shards = q.partition("part", src, 4, |t: &(u32, i64)| t.0);
             let kept = q.filter_shard_streams("keep", shards, |t: &(u32, i64)| t.1 % 2 == 0);
             let scaled = q.map_shard_streams("scale", kept, |t: &(u32, i64)| vec![(t.0, t.1 * 10)]);
-            let merged = q.keyed_merge("merge", scaled, |t: &(u32, i64)| t.0);
+            let merged = q.keyed_merge("merge", scaled, merge_cmp(|t: &(u32, i64)| t.0));
             let out = q.collecting_sink("sink", merged);
             let report = q.deploy().unwrap().wait().unwrap();
             let values: Vec<(u64, u32, i64)> = out
@@ -1155,26 +912,5 @@ mod tests {
             32
         );
         assert_eq!(unfused_report.operator("scale").unwrap().instances, 4);
-    }
-
-    #[test]
-    fn query_default_parallelism_applies_to_sharded_operators() {
-        use crate::query::QueryConfig;
-        let mut q = Query::with_config(NoProvenance, QueryConfig::default().with_parallelism(3));
-        let items: Vec<(u32, i64)> = (0..12).map(|i| (i % 3, i as i64)).collect();
-        let src = q.source("src", VecSource::with_period(items, 1_000));
-        let counts = q.sharded_aggregate(
-            "agg",
-            src,
-            WindowSpec::tumbling(Duration::from_secs(4)).unwrap(),
-            |t: &(u32, i64)| t.0,
-            |w: &WindowView<'_, u32, (u32, i64), ()>| (*w.key, w.len() as i64),
-            |o: &(u32, i64)| o.0,
-            Parallelism::default(),
-        );
-        let out = q.collecting_sink("sink", counts);
-        let report = q.deploy().unwrap().wait().unwrap();
-        assert!(!out.is_empty());
-        assert_eq!(report.operator("agg").unwrap().instances, 3);
     }
 }

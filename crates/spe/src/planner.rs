@@ -16,9 +16,7 @@
 //!   `remote_shard_group` constructor of the `genealog-distributed` crate).
 //! * **Fusion** — [`PlannerConfig::fusion`] is **on by default**: every eligible
 //!   stateless chain collapses into a single-thread fused pipeline, including the
-//!   per-shard chains of an open shard region. (The legacy
-//!   [`QueryConfig::fusion`](crate::query::QueryConfig) stays opt-in so existing
-//!   physical-layer callers keep their report shapes.)
+//!   per-shard chains of an open shard region.
 //! * **Shard regions** — between a sharded stateful operator and its fan-in the plan
 //!   is an *open shard region* (`Lowered::Shards`): stateless operators lower to
 //!   per-shard stages inside the region (the planner-owned successor of the
@@ -35,44 +33,49 @@ pub use genealog_analysis::AnalysisMode;
 use crate::channel::BatchConfig;
 use crate::parallel::KeyComparator;
 use crate::provenance::ProvenanceSystem;
-use crate::query::{Query, QueryConfig, StreamRef};
+use crate::query::{Query, StreamRef};
 use crate::state::CheckpointConfig;
 use crate::tuple::TupleData;
 
-/// Configuration of the planner pass (see [`crate::logical`]).
+/// The one configuration of a query, logical ([`LogicalPlan::with_config`]) or
+/// physical ([`Query::with_config`]).
 ///
-/// Mirrors [`QueryConfig`] with one deliberate difference: **fusion is on by
-/// default**. Fused chains report per-stage counters through
+/// **Fusion is on by default.** Fused chains report per-stage counters through
 /// [`OperatorReport::stages`](crate::runtime::OperatorReport), so nothing is lost by
 /// fusing; turn it off only to compare thread-per-operator execution.
+///
+/// [`LogicalPlan::with_config`]: crate::logical::LogicalPlan::with_config
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
     /// Capacity (in elements) of the bounded channels between physical operators.
+    /// Read by [`Query`]: the builder converts it to a batch bound
+    /// (`max(1, channel_capacity / batch_size)`), so the element-level buffer
+    /// budget per edge is independent of the batch size.
     pub channel_capacity: usize,
-    /// Default batching configuration of operator outputs.
+    /// Default batching configuration of operator outputs. Read by [`Query`];
+    /// individual operators override it via [`Query::set_batch_config`].
     pub batch: BatchConfig,
     /// Default shard count for stateful operators annotated with
     /// [`Parallelism::default()`](crate::parallel::Parallelism) (or not annotated at
-    /// all). 1 lowers unannotated operators to their plain single-instance form.
+    /// all). Read by the planner; 1 lowers unannotated operators to their plain
+    /// single-instance form.
     pub parallelism: usize,
-    /// Whether eligible stateless chains fuse into single-thread pipelines.
-    /// **On by default.**
+    /// Whether eligible stateless chains fuse into single-thread pipelines (see
+    /// [`crate::fusion`]). Read by [`Query`]. **On by default.**
     pub fusion: bool,
-    /// When set, the lowered query runs with epoch-based checkpointing: sources
-    /// inject barriers every [`CheckpointConfig::interval`] tuples and every
-    /// stateful operator snapshots into the shared
-    /// [`CheckpointStore`](crate::state::CheckpointStore). `None` (the default)
-    /// lowers a checkpoint-free query — no barriers ever enter the dataflow.
+    /// When set, the query runs with epoch-based checkpointing: sources inject
+    /// barriers every [`CheckpointConfig::interval`] tuples and every stateful
+    /// operator snapshots into the shared
+    /// [`CheckpointStore`](crate::state::CheckpointStore). Installed by
+    /// [`Query::with_config`]. `None` (the default) builds a checkpoint-free
+    /// query — no barriers ever enter the dataflow.
     pub checkpoints: Option<CheckpointConfig>,
-    /// Whether the lowered query publishes into a live
-    /// [`MetricsRegistry`](genealog_metrics::MetricsRegistry) (see
-    /// [`QueryConfig::metrics`]). On by default.
-    pub metrics: bool,
     /// How lowering reacts to deploy-time analyzer findings (see
-    /// `genealog-analysis`): [`AnalysisMode::Warn`] (the default) emits every
-    /// finding on the global tracer and proceeds, [`AnalysisMode::Deny`] rejects
-    /// plans with error-severity findings, [`AnalysisMode::Off`] skips the
-    /// analyzer entirely.
+    /// `genealog-analysis`). Read by
+    /// [`LogicalPlan::lower`](crate::logical::LogicalPlan::lower):
+    /// [`AnalysisMode::Warn`] (the default) emits every finding on the global
+    /// tracer and proceeds, [`AnalysisMode::Deny`] rejects plans with
+    /// error-severity findings, [`AnalysisMode::Off`] skips the analyzer entirely.
     pub analysis: AnalysisMode,
 }
 
@@ -84,7 +87,6 @@ impl Default for PlannerConfig {
             parallelism: 1,
             fusion: true,
             checkpoints: None,
-            metrics: true,
             analysis: AnalysisMode::Warn,
         }
     }
@@ -130,27 +132,10 @@ impl PlannerConfig {
         self
     }
 
-    /// Returns the configuration with live metrics publication enabled or disabled.
-    pub fn with_metrics(mut self, enabled: bool) -> Self {
-        self.metrics = enabled;
-        self
-    }
-
     /// Returns the configuration with a different deploy-time analysis mode.
     pub fn with_analysis(mut self, mode: AnalysisMode) -> Self {
         self.analysis = mode;
         self
-    }
-
-    /// The physical [`QueryConfig`] the planner hands to the lowered query.
-    pub fn query_config(&self) -> QueryConfig {
-        QueryConfig {
-            channel_capacity: self.channel_capacity,
-            batch: self.batch,
-            parallelism: self.parallelism,
-            fusion: self.fusion,
-            metrics: self.metrics,
-        }
     }
 }
 
@@ -186,7 +171,7 @@ impl<P: ProvenanceSystem, T: TupleData> Lowered<P, T> {
                 group,
                 streams,
                 cmp,
-            } => q.keyed_merge_cmp(&format!("{group}.merge"), streams, cmp),
+            } => q.keyed_merge(&format!("{group}.merge"), streams, cmp),
         }
     }
 }
@@ -211,23 +196,19 @@ mod tests {
         let config = PlannerConfig::default();
         assert!(config.fusion, "the planner fuses by default");
         assert_eq!(config.parallelism, 1);
-        let qc = config.query_config();
-        assert!(qc.fusion);
-        assert_eq!(qc.channel_capacity, config.channel_capacity);
     }
 
     #[test]
-    fn planner_config_builders_mirror_query_config() {
+    fn planner_config_builders_set_their_fields() {
         let config = PlannerConfig::default()
             .with_batch_size(64)
             .with_parallelism(4)
             .with_channel_capacity(512)
             .with_fusion(false);
-        let qc = config.query_config();
-        assert_eq!(qc.batch.size, 64);
-        assert_eq!(qc.parallelism, 4);
-        assert_eq!(qc.channel_capacity, 512);
-        assert!(!qc.fusion);
+        assert_eq!(config.batch.size, 64);
+        assert_eq!(config.parallelism, 4);
+        assert_eq!(config.channel_capacity, 512);
+        assert!(!config.fusion);
         // Explicit zeroes clamp instead of producing degenerate configs.
         assert_eq!(PlannerConfig::default().with_parallelism(0).parallelism, 1);
         assert_eq!(

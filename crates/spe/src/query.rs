@@ -30,6 +30,7 @@ use crate::operator::sink::{CollectedStream, SinkOp, SinkStats};
 use crate::operator::source::{SourceConfig, SourceGenerator, SourceOp};
 use crate::operator::union::UnionOp;
 use crate::operator::{FusedStage, Operator};
+use crate::planner::PlannerConfig;
 use crate::provenance::ProvenanceSystem;
 use crate::runtime::{OperatorSpec, QueryHandle, Runtime};
 use crate::state::{CheckpointConfig, CheckpointHandle};
@@ -142,12 +143,12 @@ pub type RemoteJoinRoute<P, L, R, O> = Box<
 
 /// Where one shard instance of a key-partitioned operator executes.
 ///
-/// [`Query::sharded_aggregate_placed`](crate::parallel) takes one placement per
-/// shard: `Local` shards run as threads of the originating SPE instance (the
-/// behaviour of [`Query::sharded_aggregate`](crate::parallel)); `Remote` shards are
-/// spliced out to another SPE instance through a [`RemoteRoute`]. The Partition
-/// exchange, the provenance-safe fan-in and the joint channel budgeting are identical
-/// for both, so local and remote shards can be mixed freely within one group.
+/// [`LogicalStream::place`](crate::logical::LogicalStream::place) takes one
+/// placement per shard: `Local` shards run as threads of the originating SPE
+/// instance; `Remote` shards are spliced out to another SPE instance through a
+/// [`RemoteRoute`]. The Partition exchange, the provenance-safe fan-in and the
+/// joint channel budgeting are identical for both, so local and remote shards can
+/// be mixed freely within one group.
 pub enum ShardPlacement<P: ProvenanceSystem, I, O> {
     /// The shard runs in this process, as its own operator thread.
     Local,
@@ -283,85 +284,13 @@ impl<T, M> StreamRef<T, M> {
     }
 }
 
-/// Configuration shared by all operators of a query.
-#[derive(Debug, Clone, Copy)]
-pub struct QueryConfig {
-    /// Capacity (in elements) of the bounded channels between operators. The builder
-    /// converts it to a batch bound (`max(1, channel_capacity / batch_size)`), so the
-    /// element-level buffer budget per edge is independent of the batch size.
-    pub channel_capacity: usize,
-    /// Default batching configuration of operator outputs. Individual operators can
-    /// override it via [`Query::set_batch_config`] before they are added.
-    pub batch: BatchConfig,
-    /// Default number of parallel instances for sharded operators added with
-    /// [`Parallelism::default()`](crate::parallel::Parallelism). Individual operators
-    /// override it with [`Parallelism::instances`](crate::parallel::Parallelism::instances).
-    pub parallelism: usize,
-    /// Whether the physical-plan fusion pass collapses contiguous chains of
-    /// stateless single-input/single-output operators (filter → map → map …) into
-    /// single-thread fused pipelines with no intermediate channels (see
-    /// [`crate::fusion`]). Off by default: fused plans produce the same results and
-    /// provenance but report fused chains as one operator, so fusion is opt-in.
-    pub fusion: bool,
-    /// Whether the query publishes into a live [`MetricsRegistry`] (per-operator
-    /// tuple counters, queue-depth gauges, back-pressure stall counters, sink
-    /// latency histograms, checkpoint gauges). On by default — the hot path is a
-    /// handful of relaxed atomic increments; [`QueryConfig::with_metrics`]`(false)`
-    /// reduces it to the counters the end-of-run report needs anyway.
-    pub metrics: bool,
-}
-
-impl Default for QueryConfig {
-    fn default() -> Self {
-        QueryConfig {
-            channel_capacity: 1024,
-            batch: BatchConfig::default(),
-            parallelism: 1,
-            fusion: false,
-            metrics: true,
-        }
-    }
-}
-
-impl QueryConfig {
-    /// Returns the configuration with a different default batch size.
-    pub fn with_batch_size(mut self, size: usize) -> Self {
-        self.batch = BatchConfig::with_size(size);
-        self
-    }
-
-    /// Returns the configuration with batching disabled (flush every element),
-    /// reproducing the engine's original per-element transport.
-    pub fn unbatched(mut self) -> Self {
-        self.batch = BatchConfig::unbatched();
-        self
-    }
-
-    /// Returns the configuration with a different default shard count for parallel
-    /// operators (clamped to at least 1).
-    pub fn with_parallelism(mut self, instances: usize) -> Self {
-        self.parallelism = instances.max(1);
-        self
-    }
-
-    /// Returns the configuration with the stateless-chain fusion pass enabled or
-    /// disabled.
-    pub fn with_fusion(mut self, enabled: bool) -> Self {
-        self.fusion = enabled;
-        self
-    }
-
-    /// Returns the configuration with live metrics publication enabled or disabled.
-    pub fn with_metrics(mut self, enabled: bool) -> Self {
-        self.metrics = enabled;
-        self
-    }
-}
-
 /// A continuous query under construction.
 pub struct Query<P: ProvenanceSystem> {
     provenance: P,
-    config: QueryConfig,
+    /// Per-edge element budget ([`PlannerConfig::channel_capacity`]).
+    channel_capacity: usize,
+    /// Whether stateless chains fuse ([`PlannerConfig::fusion`]).
+    fusion: bool,
     /// Batch configuration stamped onto output slots of subsequently added operators.
     current_batch: BatchConfig,
     nodes: Vec<NodeInfo>,
@@ -386,8 +315,7 @@ pub struct Query<P: ProvenanceSystem> {
     /// cell is handed to operators at construction time and read when they start
     /// running, so [`Query::set_checkpoints`] works at any point before deployment.
     checkpoints: CheckpointHandle,
-    /// The live metrics registry of the query (disabled when
-    /// [`QueryConfig::metrics`] is off).
+    /// The live metrics registry of the query.
     registry: Arc<MetricsRegistry>,
     /// Per-node metrics cells, aligned with `nodes`. Handed to operators when they
     /// are installed and bound to logical names at deploy time.
@@ -395,16 +323,21 @@ pub struct Query<P: ProvenanceSystem> {
 }
 
 impl<P: ProvenanceSystem> Query<P> {
-    /// Creates an empty query using the given provenance system.
+    /// Creates an empty query using the given provenance system and
+    /// [`PlannerConfig::default()`] (fusion on).
     pub fn new(provenance: P) -> Self {
-        Self::with_config(provenance, QueryConfig::default())
+        Self::with_config(provenance, PlannerConfig::default())
     }
 
-    /// Creates an empty query with an explicit configuration.
-    pub fn with_config(provenance: P, config: QueryConfig) -> Self {
+    /// Creates an empty query with an explicit configuration. The query reads
+    /// `channel_capacity`, `batch` and `fusion`, and installs `checkpoints` (see
+    /// [`Query::set_checkpoints`]); `parallelism` and `analysis` are planner
+    /// settings and have no effect on a hand-built query.
+    pub fn with_config(provenance: P, config: PlannerConfig) -> Self {
         Query {
             provenance,
-            config,
+            channel_capacity: config.channel_capacity,
+            fusion: config.fusion,
             current_batch: config.batch,
             nodes: Vec::new(),
             edges: Vec::new(),
@@ -415,12 +348,12 @@ impl<P: ProvenanceSystem> Query<P> {
             slot_checks: Vec::new(),
             stop: Arc::new(AtomicBool::new(false)),
             next_origin: 0,
-            checkpoints: Arc::new(OnceLock::new()),
-            registry: if config.metrics {
-                MetricsRegistry::new()
-            } else {
-                MetricsRegistry::disabled()
-            },
+            checkpoints: Arc::new(
+                config
+                    .checkpoints
+                    .map_or_else(OnceLock::new, OnceLock::from),
+            ),
+            registry: MetricsRegistry::new(),
             node_metrics: Vec::new(),
         }
     }
@@ -436,8 +369,8 @@ impl<P: ProvenanceSystem> Query<P> {
     /// [`interval`](CheckpointConfig::interval) tuples and every stateful operator
     /// and sink snapshots its state into the configured
     /// [`CheckpointStore`](crate::state::CheckpointStore) when the barrier reaches
-    /// it. Must be called before [`Query::deploy`]; calling it twice keeps the
-    /// first configuration.
+    /// it. Must be called before [`Query::deploy`]; the first configuration wins,
+    /// including one installed by [`PlannerConfig::checkpoints`].
     pub fn set_checkpoints(&self, config: CheckpointConfig) {
         let _ = self.checkpoints.set(config);
     }
@@ -499,14 +432,13 @@ impl<P: ProvenanceSystem> Query<P> {
             .collect();
         genealog_analysis::PlanFacts {
             provenance: self.provenance.label().to_string(),
-            channel_capacity: self.config.channel_capacity,
-            fusion: self.config.fusion,
+            channel_capacity: self.channel_capacity,
+            fusion: self.fusion,
             checkpoint_interval: self.checkpoints.get().map(|c| c.interval),
             checkpoint_durable: self
                 .checkpoints
                 .get()
                 .map(|c| c.store.backend().is_durable()),
-            metrics: self.config.metrics,
             host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
             threads: self.nodes.len().saturating_sub(fused_away),
             provenance_collectors: self.provenance_collectors,
@@ -514,11 +446,6 @@ impl<P: ProvenanceSystem> Query<P> {
             edges,
             logical: None,
         }
-    }
-
-    /// The query configuration.
-    pub fn config(&self) -> QueryConfig {
-        self.config
     }
 
     /// The batch configuration applied to subsequently added operators.
@@ -583,24 +510,22 @@ impl<P: ProvenanceSystem> Query<P> {
         // logical edge is independent of its physical fan-out.
         let batch_size = stream.slot.batch_config().size;
         let share = stream.capacity_share.max(1);
-        let capacity = self.config.channel_capacity.div_ceil(share);
+        let capacity = self.channel_capacity.div_ceil(share);
         let batches = crate::channel::batch_budget(capacity, batch_size);
         let (mut tx, rx) = stream_channel(batches);
-        if self.registry.is_enabled() {
-            // One edge key per physical channel: the producing stream's label is
-            // unique per output port, the consumer name disambiguates fan-ins.
-            let edge = format!("{}->{}", stream.label, self.nodes[consumer].name);
-            tx.set_stall_counter(self.registry.counter(
-                "genealog_channel_backpressure_stalls_total",
-                &[("edge", &edge)],
-            ));
-            let depth = rx.depth_handle();
-            self.registry.gauge_fn(
-                "genealog_channel_queue_depth",
-                &[("edge", &edge)],
-                Arc::new(move || depth.load(std::sync::atomic::Ordering::Relaxed) as u64),
-            );
-        }
+        // One edge key per physical channel: the producing stream's label is
+        // unique per output port, the consumer name disambiguates fan-ins.
+        let edge = format!("{}->{}", stream.label, self.nodes[consumer].name);
+        tx.set_stall_counter(self.registry.counter(
+            "genealog_channel_backpressure_stalls_total",
+            &[("edge", &edge)],
+        ));
+        let depth = rx.depth_handle();
+        self.registry.gauge_fn(
+            "genealog_channel_queue_depth",
+            &[("edge", &edge)],
+            Arc::new(move || depth.load(std::sync::atomic::Ordering::Relaxed) as u64),
+        );
         stream.slot.connect(tx);
         self.edges.push((stream.producer, consumer));
         self.edge_budgets.push(batches * batch_size.max(1));
@@ -690,7 +615,7 @@ impl<P: ProvenanceSystem> Query<P> {
         // inherits the capacity share, so per-shard stage pipelines stay jointly
         // budgeted all the way to the fan-in.
         let share = input.capacity_share;
-        let extend = self.config.fusion
+        let extend = self.fusion
             && self
                 .fused_tails
                 .get(&input.producer)
@@ -1312,9 +1237,6 @@ impl<P: ProvenanceSystem> Query<P> {
                 op_groups.entry(logical.to_string()).or_default().push(pair);
             }
         }
-        if !self.registry.is_enabled() {
-            return;
-        }
         // Stage counters of fused chains (including single-stage "chains", i.e.
         // plain Filter/Map operators), grouped the same way — StageInfo::name is
         // already the logical name.
@@ -1400,7 +1322,7 @@ mod tests {
 
     #[test]
     fn builds_and_runs_a_linear_query() {
-        let mut q = Query::new(NoProvenance);
+        let mut q = Query::with_config(NoProvenance, PlannerConfig::default().with_fusion(false));
         let src = q.source(
             "numbers",
             VecSource::with_period((0..10i64).collect(), 1_000),
@@ -1494,24 +1416,25 @@ mod tests {
 
     #[test]
     fn dot_export_renders_shard_counts_and_exchange_edges() {
+        use crate::logical::LogicalPlan;
         use crate::operator::aggregate::WindowView;
         use crate::parallel::Parallelism;
-        let mut q = Query::new(NoProvenance);
-        let src = q.source(
-            "src",
-            VecSource::with_period((0..8u32).map(|i| (i, 0i64)).collect(), 1_000),
-        );
-        let agg = q.sharded_aggregate(
-            "agg",
-            src,
-            WindowSpec::tumbling(crate::time::Duration::from_secs(4)).unwrap(),
-            |t: &(u32, i64)| t.0,
-            |w: &WindowView<'_, u32, (u32, i64), ()>| (*w.key, w.len() as i64),
-            |o: &(u32, i64)| o.0,
-            Parallelism::instances(4),
-        );
-        let _ = q.collecting_sink("sink", agg);
-        let dot = q.to_dot();
+        let plan = LogicalPlan::new(NoProvenance);
+        let _ = plan
+            .source(
+                "src",
+                VecSource::with_period((0..8u32).map(|i| (i, 0i64)).collect(), 1_000),
+            )
+            .aggregate(
+                "agg",
+                WindowSpec::tumbling(crate::time::Duration::from_secs(4)).unwrap(),
+                |t: &(u32, i64)| t.0,
+                |w: &WindowView<'_, u32, (u32, i64), ()>| (*w.key, w.len() as i64),
+                |o: &(u32, i64)| o.0,
+            )
+            .with(Parallelism::shards(4))
+            .collecting_sink("sink");
+        let dot = plan.lower().unwrap().to_dot();
         assert!(dot.contains("agg.exchange\\n(partition \u{d7}4)"));
         assert!(dot.contains("agg[0]\\n(sharded-aggregate \u{d7}4)"));
         assert!(dot.contains("agg.merge\\n(shard-merge \u{d7}4)"));
@@ -1525,7 +1448,7 @@ mod tests {
     fn fusion_collapses_stateless_chain_into_one_thread() {
         let run = |fusion: bool| {
             let mut q =
-                Query::with_config(NoProvenance, QueryConfig::default().with_fusion(fusion));
+                Query::with_config(NoProvenance, PlannerConfig::default().with_fusion(fusion));
             let src = q.source(
                 "numbers",
                 VecSource::with_period((0..10i64).collect(), 1_000),
@@ -1574,7 +1497,7 @@ mod tests {
     fn fusion_stops_at_multi_stream_boundaries() {
         // multiplex (fan-out) and union (fan-in) are never fused; the stateless
         // stages on each branch fuse among themselves only.
-        let mut q = Query::with_config(NoProvenance, QueryConfig::default().with_fusion(true));
+        let mut q = Query::with_config(NoProvenance, PlannerConfig::default().with_fusion(true));
         let src = q.source("numbers", VecSource::with_period((0..20i64).collect(), 500));
         let branches = q.multiplex("mux", src, 2);
         let mut it = branches.into_iter();
@@ -1599,7 +1522,7 @@ mod tests {
 
     #[test]
     fn dot_export_renders_fused_chain_as_single_box() {
-        let mut q = Query::with_config(NoProvenance, QueryConfig::default().with_fusion(true));
+        let mut q = Query::with_config(NoProvenance, PlannerConfig::default().with_fusion(true));
         let src = q.source("numbers", VecSource::with_period(vec![1i64], 1));
         let flt = q.filter("evens", src, |x| x % 2 == 0);
         let doubled = q.map_one("double", flt, |x| x * 2);
@@ -1661,6 +1584,26 @@ mod tests {
         // Every joined tuple pairs a count with a reading of the same meter.
         for t in out.tuples() {
             assert!(t.data.0 == 0 || t.data.0 == 1);
+        }
+    }
+
+    #[test]
+    fn checkpoint_participants_are_registered_before_any_operator_runs() {
+        use crate::state::{CheckpointConfig, CheckpointStore, Snapshot};
+        // The source emits nothing, so no operator commits a snapshot: only the
+        // test does, for the source, right after deploy returns. That commit must
+        // not complete epoch 0 while the sink has not committed it — whether or
+        // not the sink's thread has started yet.
+        for _ in 0..100 {
+            let store = CheckpointStore::in_memory();
+            let mut q = Query::new(NoProvenance);
+            q.set_checkpoints(CheckpointConfig::new(1, Arc::clone(&store)));
+            let src = q.source("src", VecSource::with_period(Vec::<i64>::new(), 1));
+            let _ = q.collecting_sink("sink", src);
+            let handle = q.deploy().unwrap();
+            store.commit("src", 0, Snapshot::u64(0));
+            assert_eq!(store.latest_complete_epoch(), None);
+            handle.wait().unwrap();
         }
     }
 }

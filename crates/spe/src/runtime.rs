@@ -373,6 +373,16 @@ impl Runtime {
         checkpoints: crate::state::CheckpointHandle,
         registry: Arc<MetricsRegistry>,
     ) -> QueryHandle {
+        // Register every checkpoint participant before any thread runs: an epoch
+        // is complete once all registered participants committed it, so one that
+        // registered from its own thread could find an epoch completed without it.
+        if let Some(config) = checkpoints.get() {
+            for spec in &operators {
+                if let Some(participant) = spec.op.checkpoint_participant() {
+                    config.store.register(participant);
+                }
+            }
+        }
         let started = Instant::now();
         let running = Arc::new(AtomicUsize::new(operators.len()));
         let threads = operators
@@ -580,8 +590,7 @@ mod tests {
 
     #[test]
     fn rendered_report_lists_fused_stage_counters() {
-        use crate::query::QueryConfig;
-        let mut q = Query::with_config(NoProvenance, QueryConfig::default().with_fusion(true));
+        let mut q = Query::new(NoProvenance);
         let src = q.source("numbers", VecSource::with_period((0..10i64).collect(), 10));
         let evens = q.filter("evens", src, |x| x % 2 == 0);
         let doubled = q.map_one("double", evens, |x| x * 2);

@@ -21,8 +21,8 @@
 //!    to a fault-free run.
 //!
 //! The [`StateBackend`] trait hides where snapshots live: [`InMemoryBackend`] keeps
-//! them as cheap `Arc` clones, [`SerializingBackend`] additionally accounts for the
-//! serialised footprint of byte-encoded snapshots (source offsets, sink prefixes).
+//! them as cheap `Arc` clones; the `genealog-store` crate's durable backend writes
+//! them to disk.
 //! Graph-slice snapshots are process-local by design — the `N`/`U` pointers are
 //! reference-counted pointers, not serialisable ids — which matches the paper's
 //! single-process-per-instance deployment model.
@@ -130,8 +130,8 @@ pub trait StateBackend: fmt::Debug + Send + Sync {
 
     /// Cumulative serialised bytes written since creation. Backends that do not
     /// track writes separately report their current footprint (writes minus
-    /// whatever [`StateBackend::remove_after`] discarded);
-    /// [`SerializingBackend`] overrides this with its true write counter.
+    /// whatever [`StateBackend::remove_after`] discarded); durable backends
+    /// override this with their true write counter.
     fn bytes_written(&self) -> u64 {
         self.serialized_bytes() as u64
     }
@@ -200,74 +200,6 @@ impl StateBackend for InMemoryBackend {
     }
 }
 
-/// A backend that stores byte snapshots as owned serialised copies (simulating a
-/// durable store) and keeps graph-slice snapshots inline.
-///
-/// Byte snapshots are copied on commit and on restore, so a restore never aliases
-/// the committing run's buffers; the backend additionally tracks the cumulative
-/// number of bytes written, which the benchmarks use to report checkpoint overhead.
-/// Inline snapshots (the provenance graph slices) cannot cross a process boundary —
-/// a documented limitation shared with the paper's in-process provenance graph.
-#[derive(Debug, Default)]
-pub struct SerializingBackend {
-    inner: InMemoryBackend,
-    bytes_written: Mutex<u64>,
-}
-
-impl SerializingBackend {
-    /// Creates an empty serialising backend.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Cumulative number of serialised bytes written since creation (not reduced by
-    /// [`StateBackend::remove_after`]).
-    pub fn bytes_written(&self) -> u64 {
-        *self.bytes_written.lock()
-    }
-}
-
-impl StateBackend for SerializingBackend {
-    fn name(&self) -> &'static str {
-        "serializing"
-    }
-
-    fn put(&self, participant: &str, epoch: u64, snapshot: Snapshot) {
-        let snapshot = match snapshot {
-            // An owned copy stands in for the write to a durable store.
-            Snapshot::Bytes(b) => {
-                *self.bytes_written.lock() += b.len() as u64;
-                Snapshot::Bytes(b.clone())
-            }
-            inline => inline,
-        };
-        self.inner.put(participant, epoch, snapshot);
-    }
-
-    fn get(&self, participant: &str, epoch: u64) -> Option<Snapshot> {
-        self.inner.get(participant, epoch).map(|s| match s {
-            Snapshot::Bytes(b) => Snapshot::Bytes(b.clone()),
-            inline => inline,
-        })
-    }
-
-    fn remove_after(&self, epoch: u64) {
-        self.inner.remove_after(epoch);
-    }
-
-    fn snapshot_count(&self) -> usize {
-        self.inner.snapshot_count()
-    }
-
-    fn serialized_bytes(&self) -> usize {
-        self.inner.serialized_bytes()
-    }
-
-    fn bytes_written(&self) -> u64 {
-        SerializingBackend::bytes_written(self)
-    }
-}
-
 #[derive(Debug, Default)]
 struct StoreState {
     /// Participants registered by the current (or last) run.
@@ -293,8 +225,9 @@ struct StoreState {
 ///
 /// One store is shared — by `Arc` — across the origin query and every remote SPE
 /// instance of a distributed deployment, so "latest complete epoch" is a
-/// deployment-global cut. Operators register at thread start and commit once per
-/// barrier; the recovery runner consults the store between attempts.
+/// deployment-global cut. Operators are registered when their query deploys,
+/// before any of its threads runs, and commit once per barrier; the recovery
+/// runner consults the store between attempts.
 #[derive(Debug)]
 pub struct CheckpointStore {
     backend: Arc<dyn StateBackend>,
@@ -320,9 +253,9 @@ impl CheckpointStore {
         &self.backend
     }
 
-    /// Registers a checkpoint participant (called by every participating operator
-    /// when its thread starts). An epoch is complete only once every registered
-    /// participant has committed it.
+    /// Registers a checkpoint participant (done for every participating operator
+    /// when its query deploys, before any operator thread starts). An epoch is
+    /// complete only once every registered participant has committed it.
     pub fn register(&self, participant: &str) {
         self.state
             .lock()
@@ -722,25 +655,6 @@ mod tests {
         assert_eq!(store.begin_recovery(), None);
         assert_eq!(store.restore_epoch(), None);
         assert!(store.restore_snapshot("src").is_none());
-    }
-
-    #[test]
-    fn serializing_backend_accounts_for_bytes() {
-        let backend = SerializingBackend::new();
-        backend.put("src", 0, Snapshot::u64(1));
-        backend.put("src", 1, Snapshot::u64(2));
-        backend.put("agg", 0, Snapshot::inline(7i64));
-        assert_eq!(backend.bytes_written(), 16);
-        assert_eq!(backend.serialized_bytes(), 16);
-        assert_eq!(backend.snapshot_count(), 3);
-        backend.remove_after(0);
-        assert_eq!(backend.snapshot_count(), 2);
-        // Cumulative write counter is monotone.
-        assert_eq!(backend.bytes_written(), 16);
-        assert_eq!(
-            backend.get("agg", 0).unwrap().downcast::<i64>().map(|v| *v),
-            Some(7)
-        );
     }
 
     #[test]

@@ -600,6 +600,123 @@ mod tests {
         handle.join().unwrap();
     }
 
+    /// Where, inside one `Select::select` call, the racing sender fires.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Window {
+        /// After the first poll saw nothing, before the waker is registered.
+        BeforeRegister,
+        /// After the waker is registered, before the re-poll.
+        AfterRegister,
+        /// After the re-poll saw nothing, before the selector parks.
+        AfterRepoll,
+    }
+
+    /// A watched receiver whose select hooks hand control to another thread at
+    /// a chosen point of the select protocol and wait until its send (or
+    /// disconnect) has completed — the interleavings a lost wake-up hides in.
+    struct Racing<'a> {
+        rx: &'a Receiver<u32>,
+        window: Window,
+        polls: std::cell::Cell<usize>,
+        fire: &'a dyn Fn(),
+    }
+
+    impl SelectTarget for Racing<'_> {
+        fn target_is_ready(&self) -> bool {
+            let ready = self.rx.is_ready();
+            self.polls.set(self.polls.get() + 1);
+            // Poll 2 is the re-poll after registration: fire once it has looked,
+            // so only the waker can report the arrival.
+            if self.window == Window::AfterRepoll && self.polls.get() == 2 {
+                (self.fire)();
+            }
+            ready
+        }
+        fn target_register(&self, waker: &Arc<SelectWaker>) {
+            if self.window == Window::BeforeRegister {
+                (self.fire)();
+            }
+            self.rx.register(waker);
+            if self.window == Window::AfterRegister {
+                (self.fire)();
+            }
+        }
+        fn target_unregister(&self, waker: &Arc<SelectWaker>) {
+            self.rx.unregister(waker);
+        }
+    }
+
+    /// Stress: for every window of the poll → register → re-poll → park
+    /// sequence, 1000 rounds in which another thread sends (or drops the last
+    /// sender) exactly there. Each round must complete within its deadline;
+    /// a lost wake-up fails the test instead of hanging it.
+    #[test]
+    fn select_never_loses_a_wake_up_in_the_register_window() {
+        const ROUNDS: u32 = 1000;
+        const WINDOWS: [Window; 3] = [
+            Window::BeforeRegister,
+            Window::AfterRegister,
+            Window::AfterRepoll,
+        ];
+        // The racing thread: sends the value (if any), then drops the sender,
+        // which was the channel's last one.
+        let (fire_tx, fire_rx) = std::sync::mpsc::channel::<(Sender<u32>, Option<u32>)>();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let racer = thread::spawn(move || {
+            for (tx, value) in fire_rx {
+                if let Some(value) = value {
+                    tx.send(value).unwrap();
+                }
+                drop(tx);
+                done_tx.send(()).unwrap();
+            }
+        });
+        let (result_tx, result_rx) = std::sync::mpsc::channel();
+        let selector = thread::spawn(move || {
+            for window in WINDOWS {
+                for round in 0..ROUNDS {
+                    let (tx, rx) = bounded::<u32>(1);
+                    let (_idle_tx, idle) = bounded::<u32>(1);
+                    // Even rounds deliver a value, odd rounds only disconnect.
+                    let value = (round % 2 == 0).then_some(round);
+                    let armed = std::cell::Cell::new(Some(tx));
+                    let fire = || {
+                        let tx = armed.take().expect("fires once per round");
+                        fire_tx.send((tx, value)).unwrap();
+                        done_rx.recv().unwrap();
+                    };
+                    let racing = Racing {
+                        rx: &rx,
+                        window,
+                        polls: std::cell::Cell::new(0),
+                        fire: &fire,
+                    };
+                    let mut select = Select::new();
+                    select.recv(&idle);
+                    select.targets.push(&racing);
+                    let op = select.select();
+                    let index = op.index();
+                    result_tx.send((index, op.recv(&rx), value)).unwrap();
+                }
+            }
+        });
+        for window in WINDOWS {
+            for round in 0..ROUNDS {
+                let (index, received, value) = result_rx
+                    .recv_timeout(Duration::from_secs(5))
+                    .unwrap_or_else(|_| panic!("lost wake-up: {window:?}, round {round}"));
+                assert_eq!(index, 1, "{window:?}, round {round}");
+                assert_eq!(
+                    received,
+                    value.ok_or(RecvError),
+                    "{window:?}, round {round}"
+                );
+            }
+        }
+        selector.join().unwrap();
+        racer.join().unwrap();
+    }
+
     #[test]
     fn unbounded_never_blocks_sender() {
         let (tx, rx) = unbounded();

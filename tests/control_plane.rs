@@ -22,7 +22,7 @@ use genealog_distributed::deployment::{
 };
 use genealog_distributed::NetworkConfig;
 use genealog_spe::operator::aggregate::WindowView;
-use genealog_spe::query::{QueryConfig, ShardPlacement};
+use genealog_spe::query::ShardPlacement;
 
 type Key = u32;
 type Reading = (Key, i64);
@@ -96,7 +96,7 @@ fn control_endpoint_serves_live_metrics_and_provenance_of_a_spanning_query() {
         "sum",
         2,
         &SimulatedTransport::new(NetworkConfig::unlimited()),
-        QueryConfig::default(),
+        PlannerConfig::default(),
         |i| GeneaLog::for_instance(1 + i as u32),
         move |rq, _i, input| rq.aggregate("sum", input, window_spec(), sum_key, sum_window),
     )

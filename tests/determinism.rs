@@ -5,7 +5,7 @@
 use std::collections::BTreeSet;
 
 use genealog::prelude::*;
-use genealog_spe::QueryConfig;
+use genealog_spe::PlannerConfig;
 use genealog_workloads::linear_road::{LinearRoadConfig, LinearRoadGenerator};
 use genealog_workloads::queries::{build_q1, build_q4};
 use genealog_workloads::smart_grid::{SmartGridConfig, SmartGridGenerator};
@@ -26,10 +26,10 @@ fn run_q1_with(channel_capacity: usize, batch: BatchConfig) -> Vec<(AlertKey, Pr
     };
     let mut q = GlQuery::with_config(
         GeneaLog::new(),
-        QueryConfig {
+        PlannerConfig {
             channel_capacity,
             batch,
-            ..QueryConfig::default()
+            ..PlannerConfig::default()
         },
     );
     let reports = q.source("lr", LinearRoadGenerator::new(config));

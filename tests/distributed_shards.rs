@@ -24,9 +24,8 @@ use genealog_distributed::deployment::{
 use genealog_distributed::{NetworkConfig, TcpLoopbackTransport};
 use genealog_spe::logical::LogicalPlan;
 use genealog_spe::operator::aggregate::WindowView;
-use genealog_spe::parallel::Parallelism;
 use genealog_spe::provenance::NoProvenance;
-use genealog_spe::query::{NodeKind, QueryConfig, ShardPlacement};
+use genealog_spe::query::{NodeKind, ShardPlacement};
 use genealog_spe::{PlannerConfig, Query};
 
 type Key = u32;
@@ -48,20 +47,12 @@ fn sum_window(w: &WindowView<'_, Key, Reading, GlMeta>) -> Reading {
     (*w.key, w.payloads().map(|p| p.1).sum::<i64>())
 }
 
-/// The single-instance reference: `source -> sharded_aggregate(instances(1)) -> sink`
-/// under GeneaLog, provenance unfolded in-process.
+/// The single-instance reference: `source -> aggregate -> sink` under GeneaLog,
+/// provenance unfolded in-process.
 fn run_gl_local(reports: &[(Timestamp, Reading)]) -> (Vec<SinkTuple>, Vec<Lineage>) {
     let mut q = GlQuery::new(GeneaLog::new());
     let src = q.source("readings", VecSource::new(reports.to_vec()));
-    let sums = q.sharded_aggregate(
-        "sum",
-        src,
-        window_spec(),
-        sum_key,
-        sum_window,
-        |o: &Reading| o.0,
-        Parallelism::instances(1),
-    );
+    let sums = q.aggregate("sum", src, window_spec(), sum_key, sum_window);
     let (out, provenance) = attach_provenance_sink(&mut q, "prov", sums);
     let sink = q.collecting_sink("sink", out);
     q.deploy().unwrap().wait().unwrap();
@@ -110,7 +101,7 @@ fn run_gl_remote_over(
 ) -> (Vec<SinkTuple>, Vec<Lineage>) {
     // Remote engines get fusion so the (optional) stateless stages inside a shard
     // collapse into one thread there — results must not change either way.
-    let remote_config = QueryConfig::default().with_fusion(fused_stages);
+    let remote_config = PlannerConfig::default().with_fusion(fused_stages);
     let shards = remote_shard_group::<GeneaLog, Reading, Reading, _, _>(
         "sum",
         instances,
@@ -303,7 +294,7 @@ fn np_remote_shards_match_plain_aggregate() {
             "sum",
             instances,
             &SimulatedTransport::new(NetworkConfig::unlimited()),
-            QueryConfig::default(),
+            PlannerConfig::default(),
             |_| NoProvenance,
             move |rq, _i, input| rq.aggregate("sum", input, spec, sum_key, agg),
         )
@@ -367,7 +358,7 @@ fn mixed_local_and_remote_shards_are_equivalent() {
         "sum",
         1,
         &SimulatedTransport::new(NetworkConfig::unlimited()),
-        QueryConfig::default(),
+        PlannerConfig::default(),
         |_| NoProvenance,
         move |rq, _i, input| rq.aggregate("sum", input, spec, sum_key, agg),
     )
@@ -388,7 +379,7 @@ fn mixed_local_and_remote_shards_are_equivalent() {
 /// budget, for n ∈ {1, 2, 4}.
 #[test]
 fn remote_shard_edges_share_the_edge_budget() {
-    let config = QueryConfig::default(); // 1024 elements, batch 32
+    let config = PlannerConfig::default(); // 1024 elements, batch 32
     let spec = WindowSpec::tumbling(Duration::from_secs(4)).unwrap();
     let agg = |w: &WindowView<'_, Key, Reading, ()>| (*w.key, w.len() as i64);
     for n in [1usize, 2, 4] {
@@ -398,7 +389,7 @@ fn remote_shard_edges_share_the_edge_budget() {
             "agg",
             n,
             &SimulatedTransport::new(NetworkConfig::unlimited()),
-            config,
+            config.clone(),
             |_| NoProvenance,
             move |rq, _i, input| rq.aggregate("agg", input, spec, sum_key, agg),
         )
@@ -456,7 +447,7 @@ fn distributed_shard_group_reports_fold_into_one_operator() {
         "agg",
         3,
         &SimulatedTransport::new(NetworkConfig::unlimited()),
-        QueryConfig::default(),
+        PlannerConfig::default(),
         |_| NoProvenance,
         move |rq, _i, input| rq.aggregate("agg", input, spec, sum_key, agg),
     )

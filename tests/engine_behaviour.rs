@@ -9,7 +9,7 @@ use genealog::prelude::*;
 use genealog_spe::channel::{stream_channel, OutputSlot};
 use genealog_spe::operator::source::{RateLimit, SourceConfig};
 use genealog_spe::query::NodeKind;
-use genealog_spe::QueryConfig;
+use genealog_spe::PlannerConfig;
 
 #[test]
 fn tiny_channels_do_not_change_results_or_provenance() {
@@ -17,10 +17,10 @@ fn tiny_channels_do_not_change_results_or_provenance() {
     let run = |capacity: usize| {
         let mut q = GlQuery::with_config(
             GeneaLog::new(),
-            QueryConfig {
+            PlannerConfig {
                 channel_capacity: capacity,
                 batch: BatchConfig::default(),
-                ..QueryConfig::default()
+                ..PlannerConfig::default()
             },
         );
         let src = q.source("sensors", VecSource::with_period(readings.clone(), 10_000));
@@ -207,7 +207,7 @@ fn end_of_stream_flushes_partial_batches() {
     // Element::End flushes whatever is buffered ahead of it.
     let mut q = GlQuery::with_config(
         GeneaLog::new(),
-        QueryConfig::default().with_batch_size(10_000),
+        PlannerConfig::default().with_batch_size(10_000),
     );
     let src = q.source(
         "numbers",
@@ -224,7 +224,7 @@ fn end_of_stream_flushes_partial_batches() {
 fn batch_size_one_matches_default_batching() {
     // With BatchConfig::unbatched() every element travels alone, reproducing the
     // original per-element transport; the observable behaviour must be identical.
-    let run = |config: QueryConfig| {
+    let run = |config: PlannerConfig| {
         let mut q = GlQuery::with_config(GeneaLog::new(), config);
         let src = q.source(
             "numbers",
@@ -254,8 +254,8 @@ fn batch_size_one_matches_default_batching() {
             })
             .collect::<Vec<_>>()
     };
-    let unbatched = run(QueryConfig::default().unbatched());
-    let batched = run(QueryConfig::default().with_batch_size(64));
+    let unbatched = run(PlannerConfig::default().unbatched());
+    let batched = run(PlannerConfig::default().with_batch_size(64));
     assert_eq!(unbatched, batched);
     assert!(!unbatched.is_empty());
 }
@@ -267,10 +267,10 @@ fn backpressure_blocks_a_fast_source_under_batching() {
     let total: i64 = 300;
     let mut q = GlQuery::with_config(
         GeneaLog::new(),
-        QueryConfig {
+        PlannerConfig {
             channel_capacity: 1,
             batch: BatchConfig::with_size(8),
-            ..QueryConfig::default()
+            ..PlannerConfig::default()
         },
     );
     let src = q.source("fast", VecSource::with_period((0..total).collect(), 1_000));

@@ -28,7 +28,7 @@ use genealog_distributed::deployment::{
 };
 use genealog_distributed::{FaultPlan, LinkFaults, NetworkConfig, OneShot, TcpLoopbackTransport};
 use genealog_spe::operator::aggregate::WindowView;
-use genealog_spe::query::{QueryConfig, ShardPlacement};
+use genealog_spe::query::ShardPlacement;
 use genealog_spe::state::{run_with_recovery, CheckpointConfig, CheckpointStore, RecoveryConfig};
 use genealog_spe::PlannerConfig;
 
@@ -200,7 +200,7 @@ fn run_remote(
                 "sum",
                 instances,
                 &transport,
-                QueryConfig::default(),
+                PlannerConfig::default(),
                 move |i| remote_systems[i].clone(),
                 move |rq, i, input| {
                     // Every remote engine joins the deployment-global checkpoint
@@ -302,7 +302,7 @@ fn run_remote_tcp(
                 "sum",
                 instances,
                 &transport,
-                QueryConfig::default(),
+                PlannerConfig::default(),
                 move |i| remote_systems[i].clone(),
                 move |rq, i, input| {
                     rq.set_checkpoints(CheckpointConfig::new(INTERVAL, Arc::clone(&store_remote)));

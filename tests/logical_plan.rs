@@ -23,7 +23,7 @@ use genealog_distributed::NetworkConfig;
 use genealog_spe::logical::LogicalPlan;
 use genealog_spe::operator::aggregate::WindowView;
 use genealog_spe::provenance::{MetaData, NoProvenance};
-use genealog_spe::query::{NodeKind, QueryConfig, ShardPlacement};
+use genealog_spe::query::{NodeKind, ShardPlacement};
 use genealog_spe::{PlannerConfig, Query};
 
 type Key = u32;
@@ -103,27 +103,6 @@ fn legacy_np_plain(reports: &[(Timestamp, Reading)]) -> Vec<SinkTuple> {
     sink_tuples(&out)
 }
 
-/// The legacy reference with the hand-built sharded entry point.
-fn legacy_np_sharded(reports: &[(Timestamp, Reading)], shards: usize) -> Vec<SinkTuple> {
-    let mut q = Query::new(NoProvenance);
-    let src = q.source("readings", VecSource::new(reports.to_vec()));
-    let kept = q.filter("keep", src, keep);
-    let scaled = q.map_one("scale", kept, scale);
-    let sums = q.sharded_aggregate(
-        "sum",
-        scaled,
-        window_spec(),
-        sum_key,
-        sum_window,
-        sum_key,
-        Parallelism::instances(shards),
-    );
-    let alerts = q.filter("busy", sums, busy);
-    let out = q.collecting_sink("sink", alerts);
-    q.deploy().unwrap().wait().unwrap();
-    sink_tuples(&out)
-}
-
 /// The same pipeline, written once on the logical builder; sharding and placement
 /// arrive as annotations, fusion is a planner flag.
 fn new_np(
@@ -194,7 +173,7 @@ fn new_gl_remote(
         "sum",
         instances,
         &SimulatedTransport::new(NetworkConfig::unlimited()),
-        QueryConfig::default(),
+        PlannerConfig::default(),
         // Remote instances use GeneaLog id namespaces 1..=instances.
         |i| GeneaLog::for_instance(1 + i as u32),
         move |rq, _i, input| rq.aggregate("sum", input, window_spec(), sum_key, sum_window),
@@ -264,15 +243,13 @@ fn keyed_readings() -> impl Strategy<Value = Vec<(Timestamp, Reading)>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// NP: the builder plan equals the legacy plans byte for byte, for shard counts
-    /// 1/2/4 with fusion on and off (the full annotation matrix against both the
-    /// plain and the deprecated sharded legacy entry points).
+    /// NP: the builder plan equals the legacy plan byte for byte, for shard counts
+    /// 1/2/4 with fusion on and off (the full annotation matrix against the plain
+    /// hand-built pipeline).
     #[test]
     fn np_builder_equals_legacy_across_shards_and_fusion(reports in keyed_readings()) {
         let reference = legacy_np_plain(&reports);
         for shards in [1usize, 2, 4] {
-            let legacy = legacy_np_sharded(&reports, shards);
-            prop_assert_eq!(&legacy, &reference);
             for fusion in [true, false] {
                 let lowered = new_np(&reports, shards, fusion, None);
                 prop_assert_eq!(&lowered, &reference);
@@ -320,7 +297,7 @@ fn np_remote_and_mixed_placements_equal_local() {
             "sum",
             instances,
             &SimulatedTransport::new(NetworkConfig::unlimited()),
-            QueryConfig::default(),
+            PlannerConfig::default(),
             |_| NoProvenance,
             move |rq, _i, input| rq.aggregate("sum", input, window_spec(), sum_key, sum_window),
         )
@@ -342,7 +319,7 @@ fn np_remote_and_mixed_placements_equal_local() {
         "sum",
         1,
         &SimulatedTransport::new(NetworkConfig::unlimited()),
-        QueryConfig::default(),
+        PlannerConfig::default(),
         |_| NoProvenance,
         move |rq, _i, input| rq.aggregate("sum", input, window_spec(), sum_key, sum_window),
     )

@@ -29,7 +29,7 @@ use genealog_metrics::{CountingSubscriber, Tracer};
 use genealog_spe::logical::{LogicalPlan, LogicalStream};
 use genealog_spe::operator::aggregate::WindowView;
 use genealog_spe::provenance::{MetaData, NoProvenance};
-use genealog_spe::query::{NodeKind, QueryConfig, ShardPlacement};
+use genealog_spe::query::{NodeKind, ShardPlacement};
 use genealog_spe::{AnalysisMode, PlannerConfig, SpeError};
 
 type Key = u32;
@@ -364,7 +364,7 @@ fn remote_placements_analyze_clean_and_the_facts_record_them() {
         "sum",
         2,
         &SimulatedTransport::new(NetworkConfig::unlimited()),
-        QueryConfig::default(),
+        PlannerConfig::default(),
         |i| GeneaLog::for_instance(1 + i as u32),
         move |rq, _i, input| rq.aggregate("sum", input, window_spec(), sum_key, sum_window),
     )
